@@ -54,15 +54,15 @@ class ExperimentConfig:
             raise ParameterError("config field 'n': at least one value required")
         if any(n < 2 or n % 2 != 0 for n in self.ns):
             raise ParameterError("config field 'n': bisection needs even n >= 2")
-        if self.grid < 2:
-            raise ParameterError("config field 'grid': must be >= 2")
-        if abs(sum(self.masses) - 1.0) > 1e-12 or any(v < 0 for v in self.masses):
-            raise ParameterError("config field 'masses': must be a probability vector")
-        for v in self.masses:
-            if abs(v * self.grid - round(v * self.grid)) > 1e-9:
-                raise ParameterError(
-                    "config field 'masses': denominators must divide the grid"
-                )
+        if self.grid < 2 or self.grid % 2 != 0:
+            raise ParameterError("config field 'grid': must be even and >= 2")
+        # the discrete side always solves the balanced bisection, so a continuum
+        # minimum under other masses would be compared with the wrong problem
+        if self.masses != (0.5, 0.5):
+            raise ParameterError(
+                "config field 'masses': converge compares balanced bisections, "
+                f"so masses must be 0.5,0.5, got {self.masses}"
+            )
         if self.method not in ("pgd", "frank_wolfe"):
             raise ParameterError("config field 'method': pgd or frank_wolfe")
         if self.restarts < 1:

@@ -459,9 +459,11 @@ def _exact_cut_norm(widths, values, with_witness=True):
     minus_val = float(np.maximum(-cols, 0.0).sum())
     t_plus = (cols > 0.0).astype(float)
     t_minus = (cols < 0.0).astype(float)
-    if plus_val == best and minus_val == best:
+    # the sums above run in another order than the enumeration's, so compare
+    # them with each other, not with best, which may differ in the last bit
+    if plus_val == minus_val:
         t = t_plus if tuple(t_plus) <= tuple(t_minus) else t_minus
-    elif plus_val == best:
+    elif plus_val > minus_val:
         t = t_plus
     else:
         t = t_minus

@@ -195,23 +195,47 @@ def local_search_partition(
 def project_box_mean(y, mean, lo=0.0, hi=1.0):
     """Euclidean projection onto {x in [lo,hi]^m : mean(x) = mean}.
 
-    The projection is clip(y + shift) for a scalar shift found by bisection,
-    since the clipped mean is monotone in the shift.
+    The projection is clip(y + tau) for a scalar shift tau.  The clipped sum
+    S(tau) = sum_i clip(y_i + tau, lo, hi) is piecewise linear and
+    nondecreasing, with breakpoints lo - y_i and hi - y_i (Held, Wolfe and
+    Crowder 1974; Condat 2016).  After one sort, S is evaluated at every
+    breakpoint through prefix sums, which brackets the target m * mean
+    between two neighbouring breakpoints.  On that piece the set of free
+    coordinates (strictly inside the box) is fixed, and tau is solved from
+    it in closed form, so the mean of the result is exact up to rounding.
+    Cost O(m log m).
     """
     y = np.asarray(y, dtype=float)
     m = y.size
     if not lo <= mean <= hi:
         raise InfeasibleError("target mean outside the box range")
-    low = lo - float(y.max())
-    high = hi - float(y.min())
-    # 64 halvings put the bracket below double-precision resolution
-    for _ in range(64):
-        mid = 0.5 * (low + high)
-        if float(np.clip(y + mid, lo, hi).mean()) < mean:
-            low = mid
-        else:
-            high = mid
-    return np.clip(y + 0.5 * (low + high), lo, hi)
+    target = m * mean
+    srt = np.sort(y)
+    csum = np.concatenate(([0.0], np.cumsum(srt)))
+    taus = np.sort(np.concatenate((lo - srt, hi - srt)))
+    # at each breakpoint: coordinates clipped at lo, clipped at hi, the rest free
+    n_lo = np.searchsorted(srt, lo - taus, side="right")
+    n_hi = m - np.searchsorted(srt, hi - taus, side="left")
+    sums = (
+        lo * n_lo
+        + hi * n_hi
+        + (csum[m - n_hi] - csum[n_lo])
+        + (m - n_lo - n_hi) * taus
+    )
+    # S reaches the target on [taus[k-1], taus[k]]; the clamp covers
+    # mean == lo and mean == hi, where the piece next to the end is used
+    k = min(max(int(np.searchsorted(sums, target)), 1), taus.size - 1)
+    inner = y + 0.5 * (taus[k - 1] + taus[k])
+    at_lo = inner <= lo
+    at_hi = inner >= hi
+    free = ~(at_lo | at_hi)
+    n_free = int(free.sum())
+    if n_free:
+        tau = (target - lo * at_lo.sum() - hi * at_hi.sum() - y[free].sum()) / n_free
+    else:
+        # S is flat on this piece (tied breakpoints): its end already lands
+        tau = taus[k]
+    return np.clip(y + tau, lo, hi)
 
 
 def project_rows_simplex(y):

@@ -241,6 +241,19 @@ def test_converge_config_file_with_flag_override(tmp_path, capsys):
     assert abs(float(row[3]) - 1.0) <= 1e-6
 
 
+def test_converge_rejects_unbalanced_masses(tmp_path, capsys):
+    # the discrete side is always a bisection, so only (1/2, 1/2) compares
+    argv = ["converge", "--family", "bipartite", "--n", "8", "--grid", "8"]
+    out = tmp_path / "c.csv"
+    code, _, err = run(capsys, *argv, "--masses", "0.25,0.75", "--out", str(out))
+    assert code == 2 and "masses" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "bipartite", "n": [8], "masses": [0.25, 0.75]}))
+    code, _, err = run(capsys, "converge", "--config", str(cfg), "--out", str(out))
+    assert code == 2 and "masses" in err
+    assert not out.exists()
+
+
 def test_gen_wrandom_deterministic(tmp_path, capsys):
     kernel = tmp_path / "k.json"
     fileio.write_graphon(kernel, ConstantKernel(0.5))

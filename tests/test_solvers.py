@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlim.errors import CapacityError, InfeasibleError, ParameterError
 from graphlim.families import bipartite, block_family, complete, halfgraph
@@ -144,6 +146,63 @@ def test_projection_feasibility_and_idempotence():
         assert abs(x.mean() - mass) <= 1e-12
         assert np.all(x >= -1e-15) and np.all(x <= 1 + 1e-15)
         assert np.abs(project_box_mean(x, mass) - x).max() <= 1e-12
+
+
+def _bisection_box_mean(y, mean, lo, hi):
+    # reference: 64 halvings of the shift bracket, below double resolution
+    low, high = lo - float(y.max()), hi - float(y.min())
+    for _ in range(64):
+        mid = 0.5 * (low + high)
+        if float(np.clip(y + mid, lo, hi).mean()) < mean:
+            low = mid
+        else:
+            high = mid
+    return np.clip(y + 0.5 * (low + high), lo, hi)
+
+
+@st.composite
+def box_mean_inputs(draw):
+    m = draw(st.integers(1, 40))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    # a few fixed values make ties between entries common
+    entry = st.floats(-1.0, 1.0) | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    y = scale * np.asarray(draw(st.lists(entry, min_size=m, max_size=m)))
+    lo = draw(st.floats(-2.0, 1.0))
+    hi = lo + draw(st.floats(0.0, 3.0))
+    where = draw(st.sampled_from(["lo", "hi", "inside"]))
+    mean = {"lo": lo, "hi": hi}.get(where)
+    if mean is None:
+        mean = min(lo + draw(st.floats(0.0, 1.0)) * (hi - lo), hi)
+    return y, mean, lo, hi
+
+
+@given(box_mean_inputs())
+@settings(max_examples=300, deadline=None)
+def test_projection_box_mean_properties(case):
+    y, mean, lo, hi = case
+    x = project_box_mean(y, mean, lo, hi)
+    scale = max(1.0, float(np.abs(y).max()))
+    assert np.all(x >= lo) and np.all(x <= hi)
+    assert abs(x.mean() - mean) <= 1e-12
+    assert np.abs(project_box_mean(x, mean, lo, hi) - x).max() <= 1e-12
+    # KKT: one shift tau on the free coordinates; clipped ones sit past the box
+    tol = 1e-12 * scale
+    at_lo = x == lo
+    at_hi = (x == hi) & ~at_lo  # a zero-width box counts every entry at lo
+    free = ~(at_lo | at_hi)
+    if free.any():
+        shifts = (x - y)[free]
+        tau_lo = tau_hi = float(np.median(shifts))
+        assert np.abs(shifts - tau_lo).max() <= tol
+    else:
+        # any tau in [tau_lo, tau_hi] certifies the clipped coordinates
+        tau_lo = hi - float(y[at_hi].min(initial=np.inf))
+        tau_hi = lo - float(y[at_lo].max(initial=-np.inf))
+        assert tau_lo <= tau_hi + tol
+    assert np.all(y[at_lo] + tau_lo <= lo + tol)
+    assert np.all(y[at_hi] + tau_hi >= hi - tol)
+    reference = _bisection_box_mean(y, mean, lo, hi)
+    assert np.abs(x - reference).max() <= 1e-9 * scale
 
 
 def test_projection_polytope_feasibility():
