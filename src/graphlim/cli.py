@@ -277,21 +277,7 @@ def _cmd_converge(args):
         if fmt == "csv":
             sys.stdout.write(rows_to_csv(rows))
         else:
-            sys.stdout.write(
-                fileio.dumps([
-                    {
-                        "n": r.n,
-                        "F_n": r.f_n,
-                        "F_exact_flag": r.f_exact,
-                        "J_star": r.j_star,
-                        "gap": r.gap,
-                        "cutnorm": r.cutnorm,
-                        "cutnorm_exact_flag": r.cutnorm_exact,
-                        "seconds": r.seconds,
-                    }
-                    for r in rows
-                ])
-            )
+            sys.stdout.write(fileio.dumps([r.as_dict() for r in rows]))
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .errors import ParameterError
 from .families import bipartite, block_family, complete, halfgraph
@@ -91,18 +91,14 @@ class ConvergenceRow:
     cutnorm_exact: bool
     seconds: float
 
+    def as_dict(self):
+        """The row's values keyed by the CSV column names, in header order."""
+        return dict(zip(CSV_HEADER.split(","), astuple(self)))
+
     def csv(self):
         return ",".join(
-            [
-                str(self.n),
-                format_float(self.f_n),
-                "true" if self.f_exact else "false",
-                format_float(self.j_star),
-                format_float(self.gap),
-                format_float(self.cutnorm),
-                "true" if self.cutnorm_exact else "false",
-                format_float(self.seconds),
-            ]
+            ("true" if v else "false") if isinstance(v, bool) else format_float(v)
+            for v in self.as_dict().values()
         )
 
 

@@ -278,34 +278,94 @@ def project_polytope(y, masses, iters=2000, tol=1e-13):
 # continuum minimization
 
 
-def _energy_n2(kernel, coupling, x, m):
-    t = np.column_stack((x, 1.0 - x))
-    mixed = t.T @ kernel @ t
-    return float((coupling * mixed).sum()) / (m * m)
+class _BoxMeanSet:
+    """Two labels: the iterate is the label-0 weight x with mean(x) fixed."""
+
+    def __init__(self, masses, m):
+        self.mass0 = masses[0]
+        self.m = m
+
+    def start(self, rng):
+        return project_box_mean(rng.random(self.m), self.mass0)
+
+    def weights(self, x):
+        return np.column_stack((x, 1.0 - x))
+
+    def reduce(self, g):
+        # moving x moves the label-1 weight the other way
+        return g[:, 0] - g[:, 1]
+
+    def project(self, y):
+        return project_box_mean(y, self.mass0)
+
+    def lmo(self, g):
+        """Minimize <g, v> over the box with sum(v) = m * mass0, by greedy fill."""
+        total = self.m * self.mass0
+        order = np.argsort(g, kind="stable")
+        v = np.zeros(self.m)
+        full = int(np.floor(total + 1e-9))
+        v[order[:full]] = 1.0
+        rem = total - full
+        if rem > 1e-12 and full < self.m:
+            v[order[full]] = rem
+        return v
 
 
-def _grad_n2(kernel, coupling, x, m):
-    t = np.column_stack((x, 1.0 - x))
-    full = (2.0 / (m * m)) * (kernel @ t @ coupling)
-    return full[:, 0] - full[:, 1]
+class _TransportSet:
+    """Other label counts: the iterate is the full m x N weight matrix."""
+
+    def __init__(self, masses, m):
+        self.masses = masses
+        self.m = m
+
+    def start(self, rng):
+        return project_polytope(rng.random((self.m, self.masses.size)), self.masses)
+
+    def weights(self, x):
+        return x
+
+    def reduce(self, g):
+        return g
+
+    def project(self, y):
+        return project_polytope(y, self.masses)
+
+    def lmo(self, g):
+        """Exact linear minimization over the transportation polytope."""
+        from scipy.optimize import linprog
+
+        m, nlab = g.shape
+        a_eq = np.zeros((m + nlab, m * nlab))
+        b_eq = np.zeros(m + nlab)
+        for i in range(m):
+            a_eq[i, i * nlab : (i + 1) * nlab] = 1.0
+            b_eq[i] = 1.0
+        for k in range(nlab):
+            a_eq[m + k, k::nlab] = 1.0
+            b_eq[m + k] = m * self.masses[k]
+        res = linprog(
+            g.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0), method="highs"
+        )
+        if not res.success:
+            raise InfeasibleError(f"transportation oracle failed: {res.message}")
+        return res.x.reshape(m, nlab)
 
 
-def _pgd_n2(kernel, coupling, x0, mass0, m, max_iters, tol):
-    lip = 16.0 * float(np.abs(kernel).max()) / m
+def _pgd(kernel_q, model, feasible, x, max_iters, tol):
+    lip = 2.0 * float(np.abs(model.coupling).sum()) * kernel_q.max_abs() / kernel_q.m
     step = 1.0 / lip if lip > 0 else 1.0
-    x = x0
-    energy = _energy_n2(kernel, coupling, x, m)
+    energy = limit_cut_energy(kernel_q, feasible.weights(x), model)
     iters = 0
     for _ in range(max_iters):
-        g = _grad_n2(kernel, coupling, x, m)
-        mapped = project_box_mean(x - g, mass0)
+        g = feasible.reduce(limit_energy_gradient(kernel_q, feasible.weights(x), model))
+        mapped = feasible.project(x - g)
         if float(np.abs(x - mapped).max()) <= tol:
             break
         trial = step
         accepted = False
         for _ in range(60):
-            xn = project_box_mean(x - trial * g, mass0)
-            en = _energy_n2(kernel, coupling, xn, m)
+            xn = feasible.project(x - trial * g)
+            en = limit_cut_energy(kernel_q, feasible.weights(xn), model)
             if en <= energy:
                 accepted = True
                 break
@@ -317,101 +377,18 @@ def _pgd_n2(kernel, coupling, x0, mass0, m, max_iters, tol):
     return x, energy, iters
 
 
-def _lmo_box_sum(g, total):
-    """Minimize <g, v> over v in [0,1]^m with sum(v) = total, by greedy fill."""
-    m = g.size
-    order = np.argsort(g, kind="stable")
-    v = np.zeros(m)
-    full = int(np.floor(total + 1e-9))
-    v[order[:full]] = 1.0
-    rem = total - full
-    if rem > 1e-12 and full < m:
-        v[order[full]] = rem
-    return v
-
-
-def _fw_n2(kernel, coupling, x0, mass0, m, max_iters, tol):
-    x = x0
-    energy = _energy_n2(kernel, coupling, x, m)
+def _fw(kernel_q, model, feasible, x, max_iters, tol):
+    energy = limit_cut_energy(kernel_q, feasible.weights(x), model)
     best_x, best_e = x.copy(), energy
     iters = 0
     for t in range(max_iters):
-        g = _grad_n2(kernel, coupling, x, m)
-        v = _lmo_box_sum(g, m * mass0)
-        gap = float(g @ (x - v))
+        g = feasible.reduce(limit_energy_gradient(kernel_q, feasible.weights(x), model))
+        v = feasible.lmo(g)
+        gap = float(np.vdot(g, x - v))
         if gap <= tol:
             break
         x = x + (2.0 / (t + 2.0)) * (v - x)
-        energy = _energy_n2(kernel, coupling, x, m)
-        iters += 1
-        if energy < best_e:
-            best_x, best_e = x.copy(), energy
-    return best_x, best_e, iters
-
-
-def _pgd_general(kernel_q, model, theta0, masses, m, max_iters, tol):
-    x = theta0
-    energy = limit_cut_energy(kernel_q, x, model)
-    coupling_norm = float(np.abs(model.coupling).sum())
-    lip = 2.0 * coupling_norm * float(np.abs(kernel_q.matrix).max()) / m
-    step = 1.0 / lip if lip > 0 else 1.0
-    iters = 0
-    for _ in range(max_iters):
-        g = limit_energy_gradient(kernel_q, x, model)
-        mapped = project_polytope(x - g, masses)
-        if float(np.abs(x - mapped).max()) <= tol:
-            break
-        trial = step
-        accepted = False
-        for _ in range(60):
-            xn = project_polytope(x - trial * g, masses)
-            en = limit_cut_energy(kernel_q, xn, model)
-            if en <= energy:
-                accepted = True
-                break
-            trial *= 0.5
-        if not accepted or float(np.abs(xn - x).max()) <= 1e-15:
-            break
-        x, energy = xn, en
-        iters += 1
-    return x, energy, iters
-
-
-def _lmo_transport(g, masses, m):
-    """Exact linear minimization over the transportation polytope."""
-    from scipy.optimize import linprog
-
-    nlab = g.shape[1]
-    nvar = m * nlab
-    a_eq = np.zeros((m + nlab, nvar))
-    b_eq = np.zeros(m + nlab)
-    for i in range(m):
-        a_eq[i, i * nlab : (i + 1) * nlab] = 1.0
-        b_eq[i] = 1.0
-    for k in range(nlab):
-        a_eq[m + k, k::nlab] = 1.0
-        b_eq[m + k] = m * masses[k]
-    res = linprog(
-        g.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0), method="highs"
-    )
-    if not res.success:
-        raise InfeasibleError(f"transportation oracle failed: {res.message}")
-    return res.x.reshape(m, nlab)
-
-
-def _fw_general(kernel_q, model, theta0, masses, m, max_iters, tol):
-    x = theta0
-    energy = limit_cut_energy(kernel_q, x, model)
-    best_x, best_e = x.copy(), energy
-    iters = 0
-    for t in range(max_iters):
-        g = limit_energy_gradient(kernel_q, x, model)
-        v = _lmo_transport(g, masses, m)
-        gap = float((g * (x - v)).sum())
-        if gap <= tol:
-            break
-        x = x + (2.0 / (t + 2.0)) * (v - x)
-        energy = limit_cut_energy(kernel_q, x, model)
+        energy = limit_cut_energy(kernel_q, feasible.weights(x), model)
         iters += 1
         if energy < best_e:
             best_x, best_e = x.copy(), energy
@@ -432,10 +409,16 @@ def minimize_limit_energy(
     """Minimize the grid-discretized continuum cut energy under mass constraints.
 
     Feasible set: rows in the label simplex, per-label column means equal to
-    ``masses``.  Two-label models use the exact scalar-shift box projection
-    and a sorting linear oracle; larger models fall back to Dykstra
-    projections and an exact transportation oracle.  Restarts draw seeded
-    feasible starts; the report keeps the best (value, argument) pair.
+    ``masses``.  One projected-gradient loop and one Frank-Wolfe loop serve
+    every label count; they run over one of two feasible sets.  With two
+    labels the iterate is the label-0 weight, projected by the exact
+    scalar-shift box projection, with a sorting linear oracle; with more
+    labels it is the full weight matrix, with Dykstra projections and an
+    exact transportation oracle.  Energies and gradients are always those of
+    the full field.  The projected-gradient line search starts at 1/L with
+    the step constant L = 2 sum|f| max|Wbar| / m and halves until the energy
+    does not rise.  Restarts draw seeded feasible starts; the report keeps
+    the best (value, argument) pair.
     """
     masses = np.asarray(masses, dtype=float)
     if masses.size != model.n_labels:
@@ -447,49 +430,26 @@ def minimize_limit_energy(
     if restarts < 1:
         raise ParameterError("need at least one restart")
     kernel_q = cell_averages(w, m)
-    kernel = kernel_q.matrix
-    nlab = model.n_labels
+    feasible = (_BoxMeanSet if model.n_labels == 2 else _TransportSet)(masses, m)
+    solve = _pgd if method == "pgd" else _fw
     best = None
     for r in range(restarts):
         rng = np.random.Generator(np.random.Philox(seed + r))
-        if nlab == 2:
-            x0 = project_box_mean(rng.random(m), masses[0])
-            if method == "pgd":
-                x, energy, iters = _pgd_n2(
-                    kernel, model.coupling, x0, masses[0], m, max_iters, tol
-                )
-            else:
-                x, energy, iters = _fw_n2(
-                    kernel, model.coupling, x0, masses[0], m, max_iters, tol
-                )
-            weights = np.column_stack((x, 1.0 - x))
-        else:
-            theta0 = project_polytope(rng.random((m, nlab)), masses)
-            if method == "pgd":
-                weights, energy, iters = _pgd_general(
-                    kernel_q, model, theta0, masses, m, max_iters, tol
-                )
-            else:
-                weights, energy, iters = _fw_general(
-                    kernel_q, model, theta0, masses, m, max_iters, tol
-                )
-        key = (energy, tuple(weights.ravel()))
-        if best is None or key < (best[0], tuple(best[1].ravel())):
-            best = (energy, weights, iters)
-    weights = np.clip(best[1], 0.0, 1.0)
-    theta = ThetaField(weights)
+        x, energy, iters = solve(
+            kernel_q, model, feasible, feasible.start(rng), max_iters, tol
+        )
+        # with two labels, x orders the fields as their full weights would
+        key = (energy, tuple(x.ravel()))
+        if best is None or key < best[0]:
+            best = (key, x, iters)
+    x = np.clip(best[1], 0.0, 1.0)
+    theta = ThetaField(feasible.weights(x))
     value = limit_cut_energy(kernel_q, theta, model)
     if model.is_spin:
         residual = kkt_residual(kernel_q, theta, model).residual
     else:
-        g = limit_energy_gradient(kernel_q, theta.weights, model)
-        if nlab == 2:
-            gx = g[:, 0] - g[:, 1]
-            mapped = project_box_mean(theta.weights[:, 0] - gx, masses[0])
-            residual = float(np.abs(theta.weights[:, 0] - mapped).max())
-        else:
-            mapped = project_polytope(theta.weights - g, masses)
-            residual = float(np.abs(theta.weights - mapped).max())
+        g = feasible.reduce(limit_energy_gradient(kernel_q, theta.weights, model))
+        residual = float(np.abs(x - feasible.project(x - g)).max())
     return SolveReport(
         value=value,
         method=method,
@@ -624,9 +584,14 @@ def sharpen_plateau(
         m *= 3
         half *= 3
         runs = [(3 * a, 3 * b) for a, b in runs]
-    kernel = cell_averages(HalfGraphKernel(), m).matrix
-    coupling = model.coupling if plus == 0 else model.coupling[::-1, ::-1]
-    energy = _energy_n2(kernel, coupling, x, m)
+    kernel_q = cell_averages(HalfGraphKernel(), m)
+
+    def spin_weights(x):
+        out = np.empty((m, 2))
+        out[:, plus] = x
+        out[:, 1 - plus] = 1.0 - x
+        return out
+
     for a, b in runs:
         length = b - a
         cut = length // 3
@@ -641,13 +606,7 @@ def sharpen_plateau(
         flipped[a + cut : b] = 0.0
         flipped[half + a : half + a + 2 * cut] = 1.0
         flipped[half + a + 2 * cut : half + b] = 0.0
-        e_filled = _energy_n2(kernel, coupling, filled, m)
-        e_flipped = _energy_n2(kernel, coupling, flipped, m)
-        if e_filled <= e_flipped:
-            x, energy = filled, e_filled
-        else:
-            x, energy = flipped, e_flipped
-    weights_out = np.empty((m, 2))
-    weights_out[:, plus] = x
-    weights_out[:, 1 - plus] = 1.0 - x
-    return PlateauResult(ThetaField(weights_out), True)
+        e_filled = limit_cut_energy(kernel_q, spin_weights(filled), model)
+        e_flipped = limit_cut_energy(kernel_q, spin_weights(flipped), model)
+        x = filled if e_filled <= e_flipped else flipped
+    return PlateauResult(ThetaField(spin_weights(x)), True)

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from graphlim import fileio
 from graphlim.cli import main
 from graphlim.errors import ParameterError
-from graphlim.experiments import ExperimentConfig, run_converge, thread_cap
+from graphlim.experiments import CSV_HEADER, ExperimentConfig, run_converge, thread_cap
 from graphlim.graphons import ConstantKernel
 
 
@@ -187,6 +189,43 @@ def test_converge_complete_gap_zero(tmp_path):
         assert float(parts[1]) == 2.0
         assert float(parts[3]) == 2.0
         assert float(parts[4]) == 0.0
+
+
+def test_converge_json_rows_match_csv(capsys):
+    argv = ["converge", "--family", "bipartite", "--n", "8,12", "--grid", "8"]
+    argv += ["--restarts", "2", "--seed", "3"]
+    code, out_json, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    code, out_csv, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header = CSV_HEADER.split(",")
+    csv_rows = [line.split(",") for line in out_csv.splitlines()[1:]]
+    json_rows = json.loads(out_json)
+    assert len(json_rows) == len(csv_rows) == 2
+    for obj, cells in zip(json_rows, csv_rows):
+        assert list(obj) == header
+        # the rows come from two runs, so only the wall time may differ
+        for key, cell in list(zip(header, cells))[:-1]:
+            value = obj[key]
+            if isinstance(value, bool):
+                assert cell == ("true" if value else "false")
+            else:
+                assert float(cell) == value
+
+
+def test_run_convergence_script_smoke(tmp_path):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_convergence.py"
+    spec = importlib.util.spec_from_file_location("run_convergence", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["--family", "complete", "--restarts", "2", "--outdir", str(tmp_path)]
+    assert script.main(argv) == 0
+    lines = (tmp_path / "complete.csv").read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 5
+    # J* may sit an ulp below the exact minimum 2, so the gap is not exactly 0
+    for line in lines[1:]:
+        assert float(line.split(",")[4]) <= 1e-12
 
 
 def test_converge_blocks_family_tracks_vertex_minimum(tmp_path):

@@ -12,6 +12,7 @@ from graphlim.graphons import (
     BlockDiagonalKernel,
     ConstantKernel,
     HalfGraphKernel,
+    StepGraphon,
 )
 from graphlim.solvers import (
     block_vertex_minimum,
@@ -105,6 +106,14 @@ def test_local_search_dominates_and_often_matches_brute():
         if abs(local - exact) <= 1e-12:
             wins += 1
     assert wins >= 45  # at least 90 percent
+
+
+@given(st.integers(0, 10**6), st.sampled_from([2, 4, 6, 8, 10, 12]))
+@settings(max_examples=100, deadline=None)
+def test_local_search_never_beats_exact_bisection(seed, n):
+    g = random_graph(seed, n)
+    local = local_search_partition(g, PartitionSpec.bisection(), spin, seed=seed, restarts=2)
+    assert local.value >= brute_bisection(g).value - 1e-12
 
 
 def test_local_search_multiway_respects_sizes():
@@ -299,6 +308,43 @@ def test_minimize_three_labels_both_methods():
         assert rep.value == pytest.approx(0.0, abs=1e-6)
 
 
+MODELS = {
+    "spin": spin,
+    "unit_cut_2": LabelModel.unit_cut((0.0, 1.0)),
+    "unit_cut_3": LabelModel.unit_cut((1.0, 2.0, 3.0)),
+}
+
+
+@st.composite
+def grid_problems(draw):
+    """A symmetric step graphon on k equal blocks, a grid m = k * r and masses."""
+    k = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 3))
+    rng = philox(draw(st.integers(0, 10**6)))
+    vals = rng.random((k, k))
+    w = StepGraphon(np.full(k, 1.0 / k), 0.5 * (vals + vals.T))
+    model = MODELS[draw(st.sampled_from(sorted(MODELS)))]
+    raw = rng.random(model.n_labels) + 0.1
+    return w, k * r, model, raw / raw.sum()
+
+
+@given(
+    grid_problems(),
+    st.sampled_from(["pgd", "frank_wolfe"]),
+    st.integers(0, 1000),
+)
+@settings(max_examples=150, deadline=None)
+def test_report_matches_its_own_field(problem, method, seed):
+    w, m, model, masses = problem
+    rep = minimize_limit_energy(
+        w, model, masses, m, method=method, seed=seed, restarts=2, max_iters=40
+    )
+    assert abs(rep.value - limit_cut_energy(w, rep.theta, model)) <= 1e-12
+    weights = rep.theta.weights
+    assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-9
+    assert np.abs(weights.mean(axis=0) - masses).max() <= 1e-9
+
+
 def test_minimize_rejects_bad_masses_and_method():
     with pytest.raises(InfeasibleError):
         minimize_limit_energy(ConstantKernel(1.0), spin, (0.7, 0.7), 8)
@@ -309,18 +355,21 @@ def test_minimize_rejects_bad_masses_and_method():
 
 
 def test_pgd_monotone_descent_trace():
-    from graphlim.solvers import _energy_n2, _grad_n2
-    from graphlim.functionals import cell_averages
+    from graphlim.functionals import cell_averages, limit_energy_gradient
 
-    kernel = cell_averages(HalfGraphKernel(), 24).matrix
+    kernel_q = cell_averages(HalfGraphKernel(), 24)
     rng = philox(8)
     x = project_box_mean(rng.random(24), 0.5)
-    energies = [_energy_n2(kernel, spin.coupling, x, 24)]
-    step = 24 / (16.0 * np.abs(kernel).max())
+
+    def energy(x):
+        return limit_cut_energy(kernel_q, np.column_stack((x, 1.0 - x)), spin)
+
+    energies = [energy(x)]
+    step = 24 / (16.0 * np.abs(kernel_q.matrix).max())
     for _ in range(60):
-        g = _grad_n2(kernel, spin.coupling, x, 24)
-        x = project_box_mean(x - step * g, 0.5)
-        energies.append(_energy_n2(kernel, spin.coupling, x, 24))
+        full = limit_energy_gradient(kernel_q, np.column_stack((x, 1.0 - x)), spin)
+        x = project_box_mean(x - step * (full[:, 0] - full[:, 1]), 0.5)
+        energies.append(energy(x))
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
 
