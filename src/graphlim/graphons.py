@@ -59,11 +59,16 @@ class Graph:
     def edge_list(self):
         return sorted(self.edges)
 
+    def edge_array(self):
+        """(E, 2) integer array of the edges, in the iteration order of ``edges``."""
+        flat = itertools.chain.from_iterable(self.edges)
+        return np.fromiter(flat, dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2)
+
     def adjacency(self):
         a = np.zeros((self.n, self.n), dtype=bool)
-        for i, j in self.edges:
-            a[i - 1, j - 1] = True
-            a[j - 1, i - 1] = True
+        i, j = (self.edge_array() - 1).T
+        a[i, j] = True
+        a[j, i] = True
         return a
 
     def has_edge(self, i, j):

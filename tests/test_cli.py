@@ -161,6 +161,17 @@ def test_converge_flags_heuristic_rows_above_exact_cap(tmp_path):
     assert row[6] == "false"  # 26 blocks exceed the exact cut-norm cap
 
 
+def test_converge_heuristic_blocks_row(tmp_path):
+    out = tmp_path / "c.csv"
+    argv = ["converge", "--family", "blocks", "--lambdas", "0.45,0.35,0.2", "--n", "60"]
+    argv += ["--grid", "20", "--restarts", "8", "--seed", "5", "--out", str(out)]
+    assert main(argv) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[0] == "60" and row[2] == "false"  # above the exact cap: swap descent
+    # the best known bisection splits the 12-node block 3 | 9 and cuts one bridge
+    assert abs(float(row[1]) - (0.06 + 8 / 60**2)) <= 1e-12
+
+
 def test_converge_complete_gap_zero(tmp_path):
     out = tmp_path / "c.csv"
     assert (

@@ -83,6 +83,84 @@ def test_swap_descent_preserves_counts_and_never_worsens():
         assert discrete_cut_energy(g, labels, spin) <= start_value + 1e-12
 
 
+def _swap_descent_pair_scan(g, labels, model):
+    # reference: the pair-by-pair first-improvement scan the gain matrix replaced
+    n = g.n
+    idx = np.asarray([model.index_of(v) for v in np.asarray(labels, dtype=float)])
+    f = model.coupling
+    adj = [[] for _ in range(n + 1)]
+    for i, j in g.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    adj = [np.asarray(a, dtype=int) for a in adj]
+    is_adjacent = g.adjacency()
+    swaps = 0
+    improved = True
+    while improved:
+        improved = False
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                a, b = idx[i - 1], idx[j - 1]
+                if a == b:
+                    continue
+                di = f[b, idx[adj[i] - 1]].sum() - f[a, idx[adj[i] - 1]].sum()
+                dj = f[a, idx[adj[j] - 1]].sum() - f[b, idx[adj[j] - 1]].sum()
+                if is_adjacent[i - 1, j - 1]:
+                    di -= f[b, b] - f[a, b]
+                    dj -= f[a, a] - f[b, a]
+                delta = 2.0 * (di + dj)
+                if delta < -1e-9:
+                    idx[i - 1], idx[j - 1] = b, a
+                    swaps += 1
+                    improved = True
+                    break
+            if improved:
+                break
+    return np.asarray([model.labels[k] for k in idx]), swaps
+
+
+three_labels = LabelModel.unit_cut((1.0, 2.0, 3.0))
+descent_cases = st.tuples(
+    st.integers(0, 10**6),
+    st.integers(1, 16),
+    st.floats(0.1, 0.9),
+    st.sampled_from([spin, three_labels]),
+    st.integers(0, 10**6),
+)
+
+
+def _descent_case(seed, n, p, model, start_seed):
+    g = random_graph(seed, n, p)
+    start = np.asarray(model.labels)[philox(start_seed).integers(0, model.n_labels, n)]
+    return g, start
+
+
+@given(descent_cases)
+@settings(max_examples=200, deadline=None)
+def test_swap_descent_matches_pair_scan(case):
+    g, start = _descent_case(*case)
+    model = case[3]
+    labels, swaps = swap_descent(g, start, model)
+    ref_labels, ref_swaps = _swap_descent_pair_scan(g, start, model)
+    assert np.array_equal(labels, ref_labels)
+    assert swaps == ref_swaps
+
+
+@given(descent_cases)
+@settings(max_examples=100, deadline=None)
+def test_swap_descent_ends_at_local_minimum(case):
+    g, start = _descent_case(*case)
+    model = case[3]
+    labels, _ = swap_descent(g, start, model)
+    value = discrete_cut_energy(g, labels, model)
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if labels[i] != labels[j]:
+                swapped = labels.copy()
+                swapped[[i, j]] = labels[[j, i]]
+                assert discrete_cut_energy(g, swapped, model) >= value - 1e-12
+
+
 def test_local_search_complete_graph_always_optimal():
     for seed in (0, 3):
         rep = local_search_partition(
