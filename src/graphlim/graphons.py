@@ -18,6 +18,8 @@ from .errors import CapacityError, ParameterError
 EXACT_CUT_NORM_MAX_BLOCKS = 22
 CUT_NORM_FORMS_MAX_BLOCKS = 10
 CUT_DISTANCE_MAX_BLOCKS = 8
+# entries per block of summed column tables in the exact cut norm (256 KiB)
+_CUT_NORM_BLOCK_ENTRIES = 1 << 15
 
 _WIDTH_TOL = 1e-12
 _GRID_TOL = 1e-9
@@ -440,22 +442,34 @@ def _pattern_chunk(lo, hi, m):
 
 
 def _exact_cut_norm(widths, values, with_witness=True):
+    # split in half: pattern p = a * 2^h + b takes its first m - h blocks from
+    # a and its last h from b, so cols(p) = hi[a] + lo[b]; each pattern scores
+    # max(P, N) = (sum_j |c_j| + |sum_j c_j|) / 2 with P, N its positive and
+    # negative column parts
     m = widths.size
     contrib = values * widths[:, None] * widths[None, :]
-    chunk = 1 << min(m, 16)
-    total = 1 << m
+    h = m // 2
+    hi = _pattern_chunk(0, 1 << (m - h), m - h) @ contrib[: m - h]
+    lo = _pattern_chunk(0, 1 << h, h) @ contrib[m - h :]
+    hi_sum = hi.sum(axis=1)
+    lo_sum = lo.sum(axis=1)
+    ones = np.ones(m)
+    rows = max(1, _CUT_NORM_BLOCK_ENTRIES // (lo.shape[0] * m))
+    buf = np.empty((rows, lo.shape[0], m))
     best = -1.0
     best_p = 0
-    for lo in range(0, total, chunk):
-        pats = _pattern_chunk(lo, min(lo + chunk, total), m)
-        cols = pats @ contrib
-        vals = np.maximum(
-            np.maximum(cols, 0.0).sum(axis=1), np.maximum(-cols, 0.0).sum(axis=1)
-        )
-        cmax = float(vals.max())
-        if cmax > best:
-            best = cmax
-            best_p = lo + int(np.argmax(vals == cmax))
+    for a0 in range(0, hi.shape[0], rows):
+        a1 = min(a0 + rows, hi.shape[0])
+        cols = buf[: a1 - a0]
+        np.add(hi[a0:a1, None, :], lo[None, :, :], out=cols)
+        np.abs(cols, out=cols)
+        vals = cols.reshape(-1, m) @ ones
+        vals += np.abs(hi_sum[a0:a1, None] + lo_sum[None, :]).ravel()
+        vals *= 0.5
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best = float(vals[k])
+            best_p = (a0 << h) + k
     if not with_witness:
         return best, None, None
     s = _pattern_chunk(best_p, best_p + 1, m)[0]
@@ -490,9 +504,12 @@ def _alternating_climb(mat, t):
 def cut_norm(w: StepGraphon, mode="exact", restarts=32, seed=0) -> CutNormResult:
     """Cut norm sup_{S,T} |int_{S x T} W| of a step graphon.
 
-    Exact mode enumerates all 2^m block-sign patterns for the first set; for
-    each pattern the optimal second set is the per-column clip, and both
-    global signs are taken.  Ties are broken toward the lexicographically
+    Exact mode enumerates all 2^m block patterns for the first set; for each
+    pattern the optimal second set is the per-column clip, and both global
+    signs are taken, so the pattern scores (sum_j |c_j| + |sum_j c_j|) / 2
+    over its column sums c.  The enumeration is split in half: the column
+    sums come from adding a table over the first half of the blocks to one
+    over the second half.  Ties are broken toward the lexicographically
     smallest witness.  Heuristic mode runs alternating maximization from
     seeded random restarts and returns a lower bound.
     """

@@ -8,7 +8,6 @@ deterministic given (inputs, seed); restart reductions are order-independent
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +21,12 @@ from .functionals import (
     limit_cut_energy,
     limit_energy_gradient,
 )
-from .graphons import Graph, HalfGraphKernel
+from .graphons import Graph, HalfGraphKernel, _pattern_chunk
 
-BRUTE_BISECTION_MAX_NODES = 24
+BRUTE_BISECTION_MAX_NODES = 28
 VERTEX_ENUM_MAX_BLOCKS = 20
+# entries per block of paired half patterns in brute_bisection (8 MiB)
+_BISECTION_BLOCK_ENTRIES = 1 << 20
 
 _TIE_TOL = 1e-12
 
@@ -66,8 +67,17 @@ class SolveReport:
 def brute_bisection(g: Graph) -> SolveReport:
     """Exact balanced-bisection minimum of the spin cut energy.
 
-    Enumerates the C(n-1, n/2-1) balanced sets containing node 1 and reports
-    the lexicographically smallest minimizer.
+    Evaluates the C(n-1, n/2-1) balanced sets S containing node 1 and reports
+    the lexicographically smallest minimizer.  The enumeration is split in
+    half (Horowitz-Sahni 1974): lo holds nodes 1..h with node 1 always in S,
+    hi the other nodes.  With cut(S) = sum of degrees - 2 e(S) and e(S) =
+    e(S_lo) + e(S_hi) + x_lo' A[lo, hi] x_hi, each half pattern contributes
+    a tabulated degree sum, internal edge count and cross row x_lo' A[lo, hi],
+    and the halves are paired one lo popcount at a time, so every cut is an
+    integer sum, exact in float64.  Rows and columns run in descending
+    membership code (node 2 as the most significant bit), so the first
+    minimum in row-major order is the largest code, which is the
+    lexicographically smallest member tuple.
     """
     n = g.n
     if n % 2 != 0:
@@ -76,34 +86,44 @@ def brute_bisection(g: Graph) -> SolveReport:
         raise CapacityError(
             f"exact bisection capped at {BRUTE_BISECTION_MAX_NODES} nodes, got {n}"
         )
-    model = LabelModel.spin()
-    edges = g.edge_list()
-    ei = np.asarray([e[0] for e in edges], dtype=int)
-    ej = np.asarray([e[1] for e in edges], dtype=int)
+    adjacency = g.adjacency().astype(float)
+    degrees = adjacency.sum(axis=1)
+    h = 1 + (n - 1) // 2
+    # lo patterns over nodes 1..h with the leading bit (node 1) set
+    lo_pats = _pattern_chunk(1 << (h - 1), 1 << h, h)
+    hi_pats = _pattern_chunk(0, 1 << (n - h), n - h)
+    # degree sum minus twice the internal edge count of each half pattern
+    lo_base = lo_pats @ degrees[:h] - ((lo_pats @ adjacency[:h, :h]) * lo_pats).sum(1)
+    hi_base = hi_pats @ degrees[h:] - ((hi_pats @ adjacency[h:, h:]) * hi_pats).sum(1)
+    cross = lo_pats @ adjacency[:h, h:]
+    lo_groups = _popcount_groups(lo_pats[:, 1:])
+    hi_groups = _popcount_groups(hi_pats)
+    need = n // 2 - 1
     best_cut = None
-    best_members = None
+    best_code = None
     evaluated = 0
-    combo_iter = itertools.combinations(range(2, n + 1), n // 2 - 1)
-    chunk_size = 20000
-    while True:
-        chunk = list(itertools.islice(combo_iter, chunk_size))
-        if not chunk:
-            break
-        combos = np.asarray(chunk, dtype=int)
-        members = np.zeros((combos.shape[0], n + 1), dtype=bool)
-        members[:, 1] = True
-        if combos.size:
-            members[np.arange(combos.shape[0])[:, None], combos] = True
-        cuts = (members[:, ei] != members[:, ej]).sum(axis=1) if edges else np.zeros(
-            combos.shape[0], dtype=int
-        )
-        evaluated += combos.shape[0]
-        idx = int(np.argmin(cuts))
-        if best_cut is None or cuts[idx] < best_cut:
-            best_cut = int(cuts[idx])
-            best_members = members[idx].copy()
-    labels = np.where(best_members[1:], 1.0, -1.0)
-    value = discrete_cut_energy(g, labels, model)
+    for c, ia in enumerate(lo_groups):
+        if not 0 <= need - c < len(hi_groups):
+            continue
+        ib = hi_groups[need - c]
+        hi_t = -2.0 * hi_pats[ib].T
+        rows = max(1, _BISECTION_BLOCK_ENTRIES // ib.size)
+        for r0 in range(0, ia.size, rows):
+            ra = ia[r0 : r0 + rows]
+            cuts = cross[ra] @ hi_t
+            cuts += lo_base[ra, None]
+            cuts += hi_base[None, ib]
+            evaluated += cuts.size
+            k = int(np.argmin(cuts))
+            cut = cuts.flat[k]
+            a, b = divmod(k, ib.size)
+            code = (int(ra[a]) << (n - h)) | int(ib[b])
+            # smallest cut, then largest code
+            if best_cut is None or (cut, -code) < (best_cut, -best_code):
+                best_cut, best_code = cut, code
+    code = best_code | 1 << (n - 1)  # node 1 in front
+    labels = np.where(_pattern_chunk(code, code + 1, n)[0] > 0, 1.0, -1.0)
+    value = discrete_cut_energy(g, labels, LabelModel.spin())
     return SolveReport(
         value=value,
         method="brute_bisection",
@@ -112,6 +132,13 @@ def brute_bisection(g: Graph) -> SolveReport:
         iterations=evaluated,
         labels=tuple(labels),
     )
+
+
+def _popcount_groups(pats):
+    # row indices of each popcount, in descending pattern code
+    counts = pats.sum(axis=1).astype(int)
+    order = np.arange(pats.shape[0])[::-1]
+    return [order[counts[order] == c] for c in range(pats.shape[1] + 1)]
 
 
 def swap_descent(g: Graph, labels, model: LabelModel):

@@ -143,7 +143,7 @@ def test_converge_flags_heuristic_rows_above_exact_cap(tmp_path):
             "--family",
             "complete",
             "--n",
-            "26",
+            "30",
             "--grid",
             "16",
             "--restarts",
@@ -158,7 +158,7 @@ def test_converge_flags_heuristic_rows_above_exact_cap(tmp_path):
     row = out.read_text().splitlines()[1].split(",")
     assert row[2] == "false"  # swap descent, not exact
     assert float(row[1]) == 2.0  # every balanced cut of a complete graph
-    assert row[6] == "false"  # 26 blocks exceed the exact cut-norm cap
+    assert row[6] == "false"  # 30 blocks exceed the exact cut-norm cap
 
 
 def test_converge_heuristic_blocks_row(tmp_path):
@@ -335,7 +335,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["cutnorm", "--a", str(tmp_path / "missing.json")]) == 2
     # capacity: brute bisection above the cap
     big = tmp_path / "big.json"
-    run(capsys, "gen", "--family", "complete", "--n", "26", "--out", str(big))
+    run(capsys, "gen", "--family", "complete", "--n", "30", "--out", str(big))
     assert main(["solve-discrete", "--graph", str(big), "--method", "brute"]) == 3
     # infeasible: masses not a probability vector
     half = tmp_path / "half.json"

@@ -240,6 +240,26 @@ def test_heuristic_fewer_restarts_still_lower_bound():
         assert lower <= exact + 1e-12
 
 
+def _exact_cut_norm_single_matmul(w):
+    # reference: every pattern's column sums from one matmul, scored as the
+    # larger of the positive and the negative part
+    m = w.block_count
+    p = np.arange(1 << m)[:, None]
+    pats = ((p >> np.arange(m - 1, -1, -1)[None, :]) & 1).astype(float)
+    cols = pats @ (w.values * w.widths[:, None] * w.widths[None, :])
+    return float(np.maximum(np.maximum(cols, 0.0).sum(1), np.maximum(-cols, 0.0).sum(1)).max())
+
+
+@given(st.integers(0, 10**6), st.integers(1, 12), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_exact_cut_norm_matches_single_matmul_and_witness(seed, m, signed):
+    w = random_step_graphon(seed, m, signed=signed)
+    res = cut_norm(w)
+    assert res.value == pytest.approx(_exact_cut_norm_single_matmul(w), abs=1e-12)
+    witness = (res.s * w.widths) @ w.values @ (res.t * w.widths)
+    assert abs(witness) == pytest.approx(res.value, abs=1e-12)
+
+
 def test_cut_norm_l1_bound():
     for seed in range(8):
         w = random_step_graphon(3000 + seed, 2 + seed % 5, signed=True)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,7 +58,42 @@ def test_brute_bisection_errors():
     with pytest.raises(ParameterError):
         brute_bisection(complete(5).graph)
     with pytest.raises(CapacityError):
-        brute_bisection(complete(26).graph)
+        brute_bisection(complete(30).graph)
+
+
+def _brute_bisection_combinations(g):
+    # reference: the per-combination loop the split-in-half tables replaced;
+    # the first minimum over lexicographic member tuples wins
+    n = g.n
+    adjacency = g.adjacency()
+    best = None
+    evaluated = 0
+    for combo in itertools.combinations(range(2, n + 1), n // 2 - 1):
+        members = np.zeros(n, dtype=bool)
+        members[[0, *(v - 1 for v in combo)]] = True
+        cut = int(adjacency[members][:, ~members].sum())
+        evaluated += 1
+        if best is None or cut < best[0]:
+            best = (cut, members)
+    labels = np.where(best[1], 1.0, -1.0)
+    return tuple(labels), evaluated, discrete_cut_energy(g, labels, spin)
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 7),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=150, deadline=None)
+def test_brute_bisection_matches_combinations(seed, half, p):
+    # p = 0 and p = 1 give the edgeless and complete graphs, where every
+    # balanced set ties
+    g = random_graph(seed, 2 * half, p)
+    rep = brute_bisection(g)
+    labels, evaluated, value = _brute_bisection_combinations(g)
+    assert rep.labels == labels
+    assert rep.iterations == evaluated
+    assert rep.value == value
 
 
 # ---------------------------------------------------------------------------
