@@ -15,6 +15,7 @@ from .graphons import (
     Graph,
     HalfGraphKernel,
     StepGraphon,
+    StepKernel,
 )
 
 _FLOOR_GUARD = 1e-9  # protects floor arithmetic against float cumsum noise
@@ -88,12 +89,9 @@ def halfgraph(n: int) -> FamilyInstance:
 
 def checkerboard(n: int) -> StepGraphon:
     """Step graphon on 2n equal stripes, 1 between opposite-parity stripes."""
-    if n < 1:
-        raise ParameterError("checkerboard order must be >= 1")
-    size = 2 * n
-    idx = np.arange(size)
-    values = (idx[:, None] % 2 != idx[None, :] % 2).astype(float)
-    return StepGraphon(np.full(size, 1.0 / size), values)
+    kernel = CheckerboardKernel(n)  # validates the order
+    size = 2 * kernel.n
+    return StepGraphon(np.full(size, 1.0 / size), kernel.values)
 
 
 def w_random(w, n: int, seed: int) -> Graph:
@@ -105,25 +103,16 @@ def w_random(w, n: int, seed: int) -> Graph:
     """
     if n < 1:
         raise ParameterError("sample size must be >= 1")
-    if isinstance(w, StepGraphon):
-        if not w.is_w0():
-            raise ParameterError("sampling requires a [0,1]-valued kernel")
-    elif isinstance(w, ConstantKernel):
-        if not 0.0 <= w.c <= 1.0:
-            raise ParameterError("sampling requires a [0,1]-valued kernel")
-    elif not isinstance(w, AnalyticGraphon):
+    if not isinstance(w, (StepGraphon, AnalyticGraphon)):
         raise ParameterError(f"unsupported kernel object {type(w).__name__}")
+    if isinstance(w, (StepGraphon, StepKernel)) and not w.is_w0():
+        raise ParameterError("sampling requires a [0,1]-valued kernel")
     rng = np.random.Generator(np.random.Philox(seed))
     xs = rng.random(n)
     draws = rng.random(n * (n - 1) // 2)
-    edges = []
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if draws[pos] < w.value(xs[i], xs[j]):
-                edges.append((i + 1, j + 1))
-            pos += 1
-    return Graph.from_edges(n, edges)
+    i, j = np.triu_indices(n, 1)  # row-major, the order of the draws
+    keep = draws < w.value(xs[i], xs[j])
+    return Graph(n, frozenset(zip((i[keep] + 1).tolist(), (j[keep] + 1).tolist())))
 
 
 def sign_sin_field(n: int, m: int) -> np.ndarray:

@@ -50,7 +50,7 @@ def cell_averages(w, m: int) -> QuadratureKernel:
                 "step graphon blocks do not align with the requested grid"
             )
         mids = (np.arange(m) + 0.5) / m
-        idx = np.asarray([w.block_index(x) for x in mids])
+        idx = w.block_index(mids)
         return QuadratureKernel(w.values[np.ix_(idx, idx)].astype(float))
     if isinstance(w, AnalyticGraphon):
         step = w.step_on(m)

@@ -97,8 +97,48 @@ def motif_cycle4():
 # step graphons
 
 
+def _boundaries_of(widths):
+    b = np.concatenate(([0.0], np.cumsum(widths)))
+    b[-1] = 1.0
+    return b
+
+
+class _Blocks:
+    """Block lookup and integrals of a kernel that is constant on blocks.
+
+    Subclasses provide ``boundaries`` (0 = b[0] < ... < b[K] = 1) and the
+    K x K ``values``.  Every method broadcasts over numpy arrays.
+    """
+
+    def is_w0(self, tol=_WIDTH_TOL):
+        return bool(np.all(self.values >= -tol) and np.all(self.values <= 1.0 + tol))
+
+    def block_index(self, x):
+        # blocks are half-open on the left, (b[i-1], b[i]], with 0 in the first
+        return np.searchsorted(self.boundaries[1:-1], x, side="left")
+
+    def _overlaps(self, lo, hi):
+        # (..., K) lengths of [lo, hi] inside each block
+        b = self.boundaries
+        lo = np.asarray(lo, dtype=float)[..., None]
+        hi = np.asarray(hi, dtype=float)[..., None]
+        return np.clip(np.minimum(hi, b[1:]) - np.maximum(lo, b[:-1]), 0.0, None)
+
+    def value(self, x, y):
+        return self.values[self.block_index(x), self.block_index(y)]
+
+    def rect_integral(self, x0, x1, y0, y1):
+        # one row-vector product per x-interval, the same product a scalar
+        # call makes, so array calls round exactly as scalar ones
+        rows = (self._overlaps(x0, x1)[..., None, :] @ self.values)[..., 0, :]
+        return (rows * self._overlaps(y0, y1)).sum(-1)
+
+    def slice_integral(self, x, y0, y1):
+        return (self.values[self.block_index(x)] * self._overlaps(y0, y1)).sum(-1)
+
+
 @dataclass
-class StepGraphon:
+class StepGraphon(_Blocks):
     """Symmetric kernel that is constant on a grid of block rectangles.
 
     ``widths`` are the block widths (strictly positive, summing to 1) and
@@ -127,7 +167,7 @@ class StepGraphon:
     @classmethod
     def w0(cls, widths, values):
         g = cls(widths, values)
-        if np.any(g.values < -_WIDTH_TOL) or np.any(g.values > 1.0 + _WIDTH_TOL):
+        if not g.is_w0():
             raise ParameterError("W0 graphon requires block values in [0,1]")
         return g
 
@@ -137,34 +177,7 @@ class StepGraphon:
 
     @property
     def boundaries(self):
-        b = np.concatenate(([0.0], np.cumsum(self.widths)))
-        b[-1] = 1.0
-        return b
-
-    def is_w0(self, tol=_WIDTH_TOL):
-        return bool(np.all(self.values >= -tol) and np.all(self.values <= 1.0 + tol))
-
-    def block_index(self, x):
-        # cells are half-open on the left, (b[i-1], b[i]], with 0 in the first
-        b = self.boundaries
-        i = int(np.searchsorted(b, x, side="left")) - 1
-        return min(max(i, 0), self.block_count - 1)
-
-    def value(self, x, y):
-        return float(self.values[self.block_index(x), self.block_index(y)])
-
-    def _overlaps(self, lo, hi):
-        b = self.boundaries
-        return np.clip(np.minimum(hi, b[1:]) - np.maximum(lo, b[:-1]), 0.0, None)
-
-    def rect_integral(self, x0, x1, y0, y1):
-        ox = self._overlaps(x0, x1)
-        oy = self._overlaps(y0, y1)
-        return float(ox @ self.values @ oy)
-
-    def slice_integral(self, x, y0, y1):
-        row = self.values[self.block_index(x)]
-        return float(row @ self._overlaps(y0, y1))
+        return _boundaries_of(self.widths)
 
     def l1_norm(self):
         return float(np.abs(self.values) @ self.widths @ self.widths)
@@ -194,25 +207,25 @@ def step_from_graph(g: Graph) -> StepGraphon:
 # analytic kernels with exact rectangle integrals
 
 
-def _overlap(a0, a1, b0, b1):
-    return max(0.0, min(a1, b1) - max(a0, b0))
-
-
 class AnalyticGraphon:
-    """Base for kernels with closed-form pointwise and rectangle evaluation."""
+    """Base for kernels with closed-form pointwise and rectangle evaluation.
+
+    ``value``, ``rect_integral`` and ``slice_integral`` broadcast over numpy
+    arrays.
+    """
 
     kind = "analytic"
 
     def params(self) -> dict:
         return {}
 
-    def value(self, x, y) -> float:
+    def value(self, x, y):
         raise NotImplementedError
 
-    def rect_integral(self, x0, x1, y0, y1) -> float:
+    def rect_integral(self, x0, x1, y0, y1):
         raise NotImplementedError
 
-    def slice_integral(self, x, y0, y1) -> float:
+    def slice_integral(self, x, y0, y1):
         raise NotImplementedError
 
     def internal_boundaries(self):
@@ -229,34 +242,33 @@ class AnalyticGraphon:
     def step_on(self, m: int) -> StepGraphon:
         """Exact cell averages on the m-cell uniform grid as a step graphon."""
         edges = np.arange(m + 1) / m
-        vals = np.empty((m, m))
-        for a in range(m):
-            for b in range(a, m):
-                v = self.rect_integral(edges[a], edges[a + 1], edges[b], edges[b + 1])
-                vals[a, b] = vals[b, a] = v * m * m
+        lo, hi = edges[:-1, None], edges[1:, None]
+        vals = self.rect_integral(lo, hi, lo.T, hi.T) * m * m
+        below = np.tril_indices(m, -1)
+        vals[below] = vals.T[below]  # the upper triangle, mirrored
         return StepGraphon(np.full(m, 1.0 / m), vals)
 
 
-class ConstantKernel(AnalyticGraphon):
+class StepKernel(_Blocks, AnalyticGraphon):
+    """Analytic kernel constant on the blocks between ``boundaries``."""
+
+    def __init__(self, boundaries, values):
+        self.boundaries = np.asarray(boundaries, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+
+    def internal_boundaries(self):
+        return tuple(float(v) for v in self.boundaries[1:-1])
+
+
+class ConstantKernel(StepKernel):
     kind = "constant"
 
     def __init__(self, c: float):
         self.c = float(c)
+        super().__init__([0.0, 1.0], [[self.c]])
 
     def params(self):
         return {"c": self.c}
-
-    def value(self, x, y):
-        return self.c
-
-    def rect_integral(self, x0, x1, y0, y1):
-        return self.c * (x1 - x0) * (y1 - y0)
-
-    def slice_integral(self, x, y0, y1):
-        return self.c * (y1 - y0)
-
-    def internal_boundaries(self):
-        return ()
 
 
 class HalfGraphKernel(AnalyticGraphon):
@@ -268,25 +280,27 @@ class HalfGraphKernel(AnalyticGraphon):
     def _under_band(x0, x1, y0, y1):
         # measure of {(x, y) in the rectangle : y <= x - 1/2}
         a, b = 0.5 + y0, 0.5 + y1
-        lo, hi = max(x0, a), min(x1, b)
-        total = 0.0
-        if hi > lo:
-            total += 0.5 * ((hi - a) ** 2 - (lo - a) ** 2)
-        if x1 > b:
-            total += (x1 - max(b, x0)) * (y1 - y0)
-        return total
+        lo, hi = np.maximum(x0, a), np.minimum(x1, b)
+        # products, not ** 2: numpy squares arrays but calls pow on scalars,
+        # which can differ in the last bit
+        d_hi, d_lo = hi - a, lo - a
+        triangle = np.where(hi > lo, 0.5 * (d_hi * d_hi - d_lo * d_lo), 0.0)
+        strip = np.where(x1 > b, (x1 - np.maximum(b, x0)) * (y1 - y0), 0.0)
+        return triangle + strip
 
     def value(self, x, y):
-        return 1.0 if (y + 0.5 <= x or x + 0.5 <= y) else 0.0
+        return 1.0 * ((y + 0.5 <= x) | (x + 0.5 <= y))
 
     def rect_integral(self, x0, x1, y0, y1):
         return self._under_band(x0, x1, y0, y1) + self._under_band(y0, y1, x0, x1)
 
     def slice_integral(self, x, y0, y1):
-        return _overlap(y0, y1, 0.0, x - 0.5) + _overlap(y0, y1, x + 0.5, 1.0)
+        below = np.maximum(0.0, np.minimum(y1, x - 0.5) - np.maximum(y0, 0.0))
+        above = np.maximum(0.0, np.minimum(y1, 1.0) - np.maximum(y0, x + 0.5))
+        return below + above
 
 
-class BlockDiagonalKernel(AnalyticGraphon):
+class BlockDiagonalKernel(StepKernel):
     """Kernel equal to 1 on the diagonal squares of a partition of [0,1]."""
 
     kind = "blockfamily"
@@ -298,35 +312,13 @@ class BlockDiagonalKernel(AnalyticGraphon):
         if abs(float(lams.sum()) - 1.0) > _WIDTH_TOL:
             raise ParameterError("block fractions must sum to 1")
         self.lambdas = lams
-        self._bounds = np.concatenate(([0.0], np.cumsum(lams)))
-        self._bounds[-1] = 1.0
+        super().__init__(_boundaries_of(lams), np.eye(lams.size))
 
     def params(self):
         return {"lambdas": [float(v) for v in self.lambdas]}
 
-    def _block(self, x):
-        i = int(np.searchsorted(self._bounds, x, side="left")) - 1
-        return min(max(i, 0), self.lambdas.size - 1)
 
-    def value(self, x, y):
-        return 1.0 if self._block(x) == self._block(y) else 0.0
-
-    def rect_integral(self, x0, x1, y0, y1):
-        b = self._bounds
-        total = 0.0
-        for k in range(self.lambdas.size):
-            total += _overlap(x0, x1, b[k], b[k + 1]) * _overlap(y0, y1, b[k], b[k + 1])
-        return total
-
-    def slice_integral(self, x, y0, y1):
-        k = self._block(x)
-        return _overlap(y0, y1, self._bounds[k], self._bounds[k + 1])
-
-    def internal_boundaries(self):
-        return tuple(float(v) for v in self._bounds[1:-1])
-
-
-class BipartiteSplitKernel(AnalyticGraphon):
+class BipartiteSplitKernel(StepKernel):
     """Kernel equal to 1 across the split at gamma, 0 within each part."""
 
     kind = "bipartite"
@@ -336,30 +328,13 @@ class BipartiteSplitKernel(AnalyticGraphon):
         if not 0.0 < g < 1.0:
             raise ParameterError("gamma must lie strictly inside (0,1)")
         self.gamma = g
+        super().__init__([0.0, g, 1.0], [[0.0, 1.0], [1.0, 0.0]])
 
     def params(self):
         return {"gamma": self.gamma}
 
-    def value(self, x, y):
-        g = self.gamma
-        return 1.0 if (x <= g < y) or (y <= g < x) else 0.0
 
-    def rect_integral(self, x0, x1, y0, y1):
-        g = self.gamma
-        ax, bx = _overlap(x0, x1, 0.0, g), _overlap(x0, x1, g, 1.0)
-        ay, by = _overlap(y0, y1, 0.0, g), _overlap(y0, y1, g, 1.0)
-        return ax * by + bx * ay
-
-    def slice_integral(self, x, y0, y1):
-        if x <= self.gamma:
-            return _overlap(y0, y1, self.gamma, 1.0)
-        return _overlap(y0, y1, 0.0, self.gamma)
-
-    def internal_boundaries(self):
-        return (self.gamma,)
-
-
-class CheckerboardKernel(AnalyticGraphon):
+class CheckerboardKernel(StepKernel):
     """Kernel of the 2n-stripe checkerboard: 1 between opposite stripes."""
 
     kind = "checkerboard"
@@ -368,35 +343,13 @@ class CheckerboardKernel(AnalyticGraphon):
         if int(n) < 1:
             raise ParameterError("checkerboard order must be >= 1")
         self.n = int(n)
+        size = 2 * self.n
+        idx = np.arange(size)
+        parity = (idx[:, None] % 2 != idx[None, :] % 2).astype(float)
+        super().__init__(np.arange(size + 1) / size, parity)
 
     def params(self):
         return {"n": self.n}
-
-    def _in_even_stripe(self, x):
-        j = min(int(x * 2 * self.n), 2 * self.n - 1)
-        return j % 2 == 0
-
-    def _even_overlap(self, a0, a1):
-        total = 0.0
-        for k in range(self.n):
-            total += _overlap(a0, a1, 2 * k / (2 * self.n), (2 * k + 1) / (2 * self.n))
-        return total
-
-    def value(self, x, y):
-        return 1.0 if self._in_even_stripe(x) != self._in_even_stripe(y) else 0.0
-
-    def rect_integral(self, x0, x1, y0, y1):
-        sx = self._even_overlap(x0, x1)
-        sy = self._even_overlap(y0, y1)
-        return sx * ((y1 - y0) - sy) + ((x1 - x0) - sx) * sy
-
-    def slice_integral(self, x, y0, y1):
-        span = y1 - y0
-        even = self._even_overlap(y0, y1)
-        return (span - even) if self._in_even_stripe(x) else even
-
-    def internal_boundaries(self):
-        return tuple(i / (2 * self.n) for i in range(1, 2 * self.n))
 
 
 _ANALYTIC_KINDS = {

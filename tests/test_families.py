@@ -15,7 +15,18 @@ from graphlim.families import (
     sign_sin_field,
     w_random,
 )
-from graphlim.graphons import ConstantKernel, StepGraphon, cut_norm
+from graphlim.graphons import (
+    BipartiteSplitKernel,
+    BlockDiagonalKernel,
+    CheckerboardKernel,
+    ConstantKernel,
+    Graph,
+    HalfGraphKernel,
+    StepGraphon,
+    cut_norm,
+)
+
+from conftest import random_step_graphon
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +149,38 @@ def test_w_random_rejects_signed_kernel():
     signed = StepGraphon([0.5, 0.5], [[-0.2, 0.5], [0.5, -0.2]])
     with pytest.raises(ParameterError):
         w_random(signed, 5, seed=0)
+
+
+def _w_random_pair_loop(w, n, seed):
+    # reference: one scalar value call per node pair, in the order of the draws
+    rng = np.random.Generator(np.random.Philox(seed))
+    xs = rng.random(n)
+    draws = rng.random(n * (n - 1) // 2)
+    edges = []
+    pos = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draws[pos] < w.value(xs[i], xs[j]):
+                edges.append((i + 1, j + 1))
+            pos += 1
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        ConstantKernel(0.37),
+        HalfGraphKernel(),
+        BlockDiagonalKernel([0.45, 0.35, 0.2]),
+        BipartiteSplitKernel(0.3),
+        CheckerboardKernel(3),
+        random_step_graphon(17, 5),
+    ],
+)
+def test_w_random_matches_pair_loop(kernel):
+    cases = [(n, seed) for n in (1, 2, 3, 16, 61) for seed in (0, 1, 2)] + [(300, 5)]
+    for n, seed in cases:
+        assert w_random(kernel, n, seed).edges == _w_random_pair_loop(kernel, n, seed).edges
 
 
 # ---------------------------------------------------------------------------

@@ -153,9 +153,85 @@ def test_rect_integral_matches_midpoint_refinement(kernel):
             kernel.slice_integral(x, y0, y1) for x in xs
         ) * (x1 - x0) / n
         assert exact == pytest.approx(approx, abs=5e-3)
-        grid = np.asarray([[kernel.value(x, y) for y in ys] for x in xs])
+        grid = kernel.value(xs[:, None], ys[None, :])
         approx2 = grid.mean() * (x1 - x0) * (y1 - y0)
         assert exact == pytest.approx(approx2, abs=5e-3)
+
+
+def _kernel_case(choice, seed):
+    # the five analytic kernels with drawn parameters, then a step graphon
+    rng = philox(seed)
+    if choice == 0:
+        return ConstantKernel(rng.random())
+    if choice == 1:
+        return HalfGraphKernel()
+    if choice == 2:
+        raw = rng.random(1 + seed % 5) + 0.2
+        return BlockDiagonalKernel(raw / raw.sum())
+    if choice == 3:
+        return BipartiteSplitKernel(0.05 + 0.9 * rng.random())
+    if choice == 4:
+        return CheckerboardKernel(1 + seed % 4)
+    return random_step_graphon(seed, 1 + seed % 6, signed=seed % 2 == 1)
+
+
+def _step_on_cells(kernel, m):
+    # reference: one scalar rect_integral per cell pair of the upper triangle
+    edges = np.arange(m + 1) / m
+    vals = np.empty((m, m))
+    for a in range(m):
+        for b in range(a, m):
+            v = kernel.rect_integral(edges[a], edges[a + 1], edges[b], edges[b + 1])
+            vals[a, b] = vals[b, a] = v * m * m
+    return vals
+
+
+@given(st.integers(0, 5), st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_kernels_on_arrays_match_scalar_calls(choice, seed):
+    w = _kernel_case(choice, seed)
+    rng = philox(seed + 1)
+    xs = np.concatenate((rng.random(6), [0.0, 1.0], getattr(w, "boundaries", [])))
+    ys = np.concatenate((rng.random(5), [0.0, 1.0]))
+    grid = w.value(xs[:, None], ys[None, :])
+    assert grid.shape == (xs.size, ys.size)
+    assert np.array_equal(grid, [[w.value(x, y) for y in ys] for x in xs])
+    (x0, y0), (x1, y1) = np.sort(rng.random((2, 2, 12)), axis=0)
+    ref = [
+        [w.rect_integral(a0, a1, b0, b1) for b0, b1 in zip(y0, y1)]
+        for a0, a1 in zip(x0, x1)
+    ]
+    outer = w.rect_integral(x0[:, None], x1[:, None], y0[None, :], y1[None, :])
+    assert outer.shape == (12, 12)
+    assert np.array_equal(outer, ref)
+    assert np.array_equal(w.rect_integral(x0, x1, y0, y1), np.diag(ref))
+    strips = w.slice_integral(xs[:, None], y0[None, :], y1[None, :])
+    assert np.array_equal(
+        strips, [[w.slice_integral(x, b0, b1) for b0, b1 in zip(y0, y1)] for x in xs]
+    )
+
+
+@given(st.integers(0, 4), st.integers(0, 10**6), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_step_on_matches_cell_loop(choice, seed, m):
+    w = _kernel_case(choice, seed)
+    vals = w.step_on(m).values
+    assert np.array_equal(vals, _step_on_cells(w, m))
+    assert np.array_equal(vals, vals.T)
+
+
+@given(st.sampled_from([0, 2, 3, 4, 5]), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_value_at_internal_boundary_takes_left_block(choice, seed):
+    w = _kernel_case(choice, seed)
+    b = w.boundaries
+    k = b.size - 1
+    assert np.array_equal(w.block_index(b), [0, *range(k)])
+    left_mids = 0.5 * (b[:-2] + b[1:-1])
+    ys = np.concatenate((0.5 * (b[:-1] + b[1:]), b))
+    assert np.array_equal(
+        w.value(b[1:-1, None], ys[None, :]), w.value(left_mids[:, None], ys[None, :])
+    )
 
 
 def test_slice_integral_consistent_with_degree():
