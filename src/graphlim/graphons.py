@@ -649,42 +649,37 @@ def cut_distance_blocks(u: StepGraphon, w: StepGraphon) -> float:
 # homomorphism densities
 
 HOM_MOTIF_MAX_NODES = 5
-HOM_GRAPH_MAX_NODES = 12
 HOM_GRAPHON_MAX_CELLS = 10**7
 
 
-def hom_count(motif: Graph, g: Graph) -> int:
-    """Number of adjacency-preserving maps from the motif into g."""
-    k, n = motif.n, g.n
-    adj = g.adjacency()
-    ok = np.ones((n,) * k, dtype=bool)
-    for i, j in motif.edges:
-        u, v = i - 1, j - 1
-        axes = tuple(d for d in range(k) if d not in (u, v))
-        ok &= np.expand_dims(adj, axis=axes)
-    return int(ok.sum())
+def _check_hom_caps(motif: Graph, n: int):
+    if motif.n > HOM_MOTIF_MAX_NODES:
+        raise CapacityError(f"motif capped at {HOM_MOTIF_MAX_NODES} nodes")
+    if n**motif.n > HOM_GRAPHON_MAX_CELLS:
+        raise CapacityError("vertex assignment space exceeds the exact-summation cap")
+
+
+def _hom_sum(motif: Graph, values, weights):
+    """Sum over maps phi of the motif's vertices into range(len(weights)) of
+    prod over edges ij of values[phi(i), phi(j)] times prod over vertices v
+    of weights[phi(v)], as one einsum contraction."""
+    letters = "abcde"[: motif.n]
+    subs = [letters[i - 1] + letters[j - 1] for i, j in motif.edge_list()]
+    operands = [values] * len(subs)
+    for v in letters:
+        subs.append(v)
+        operands.append(weights)
+    return np.einsum(",".join(subs) + "->", *operands, optimize=True)
 
 
 def hom_density_graph(motif: Graph, g: Graph) -> Fraction:
     """Exact homomorphism density t(F, G) as a rational number."""
-    if motif.n > HOM_MOTIF_MAX_NODES:
-        raise CapacityError(f"motif capped at {HOM_MOTIF_MAX_NODES} nodes")
-    if g.n > HOM_GRAPH_MAX_NODES:
-        raise CapacityError(f"target graph capped at {HOM_GRAPH_MAX_NODES} nodes")
-    return Fraction(hom_count(motif, g), g.n**motif.n)
+    _check_hom_caps(motif, g.n)
+    count = _hom_sum(motif, g.adjacency().astype(np.int64), np.ones(g.n, dtype=np.int64))
+    return Fraction(int(count), g.n**motif.n)
 
 
 def hom_density_graphon(motif: Graph, w: StepGraphon) -> float:
     """Homomorphism density of a motif in a step graphon, by exact summation."""
-    if motif.n > HOM_MOTIF_MAX_NODES:
-        raise CapacityError(f"motif capped at {HOM_MOTIF_MAX_NODES} nodes")
-    k, m = motif.n, w.block_count
-    if m**k > HOM_GRAPHON_MAX_CELLS:
-        raise CapacityError("block assignment space exceeds the exact-summation cap")
-    letters = "abcde"[:k]
-    subs = [letters[i - 1] + letters[j - 1] for i, j in motif.edge_list()]
-    operands = [w.values] * len(subs)
-    for v in range(k):
-        subs.append(letters[v])
-        operands.append(w.widths)
-    return float(np.einsum(",".join(subs) + "->", *operands, optimize=True))
+    _check_hom_caps(motif, w.block_count)
+    return float(_hom_sum(motif, w.values, w.widths))

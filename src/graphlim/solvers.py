@@ -282,27 +282,108 @@ def project_rows_simplex(y):
     return np.maximum(y - tau[:, None], 0.0)
 
 
-def project_polytope(y, masses, iters=2000, tol=1e-13):
-    """Dykstra projection onto {rows in simplex} ∩ {column means = masses}."""
-    masses = np.asarray(masses, dtype=float)
-    x = np.asarray(y, dtype=float).copy()
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(iters):
-        z = project_rows_simplex(x + p)
-        p = x + p - z
-        w = z + q
-        x_new = w + (masses - w.mean(axis=0))[None, :]
-        q = w - x_new
-        gap = max(
-            float(np.abs(x_new.mean(axis=0) - masses).max()),
-            float(np.maximum(-x_new, 0.0).max()),
-            float(np.abs(x_new.sum(axis=1) - 1.0).max()),
-        )
-        x = x_new
-        if gap <= tol:
+def project_polytope(y, masses):
+    """Euclidean projection onto {rows in the simplex, column means = masses}.
+
+    Row i of the projection is project_rows_simplex(y_i - mu) for the dual
+    vector mu that maximizes the concave, piecewise quadratic dual, whose
+    gradient is r = colsum(x) - m * masses.  Newton steps solve
+    (L + max|r| / (ptp(y) + 1) I) step = r, with L = sum_i (D_i - a_i a_i' /
+    |A_i|) the Laplacian of the active entries (x_ik > 0).  Rows with one
+    active label add no curvature; the shift keeps steps along such flat
+    directions about as long as the spread of y, and vanishes with r.  A
+    step is halved until the dual still rises at its end, <r, step> >= 0, a
+    test on residuals that rounding of the dual value cannot upset.  Returns
+    once every column sum is within 1e-12 * m of its target; raises
+    InfeasibleError when 100 steps do not get there.
+    """
+    y = np.asarray(y, dtype=float)
+    m, nlab = y.shape
+    target = m * np.asarray(masses, dtype=float)
+    spread = float(np.ptp(y)) + 1.0
+
+    def at(mu):
+        x = project_rows_simplex(y - mu)
+        return x, x.sum(axis=0) - target
+
+    def feasible(resid):
+        return float(np.abs(resid).max()) <= 1e-12 * m
+
+    mu = np.zeros(nlab)
+    x, resid = at(mu)
+    for _ in range(100):
+        if feasible(resid):
+            return x
+        a = (x > 0.0).astype(float)
+        lap = np.diag(a.sum(axis=0)) - (a / a.sum(axis=1, keepdims=True)).T @ a
+        shift = float(np.abs(resid).max()) / spread
+        step = np.linalg.solve(lap + shift * np.eye(nlab), resid)
+        step -= step.mean()  # a constant shift of mu leaves every row unchanged
+        t = 1.0
+        for _ in range(60):
+            xt, rt = at(mu + t * step)
+            if feasible(rt) or float(rt @ step) >= 0.0:
+                break
+            t *= 0.5
+        else:
             break
-    return x
+        mu = mu + t * step
+        x, resid = xt, rt
+    raise InfeasibleError(
+        "polytope projection did not reach the column means; check the masses"
+    )
+
+
+def transport_lmo(g, caps):
+    """Minimize <g, v> over {v >= 0 : rows sum to 1, column sums = caps}.
+
+    Successive shortest paths (Ahuja, Magnanti and Orlin 1993, ch. 9): rows
+    enter one at a time with one unit each.  Weight of a row j moves from
+    label k to label l at cost g[j, l] - g[j, k] while v[j, k] > 0;
+    Bellman-Ford over the labels, from the entering row's costs, finds the
+    cheapest path to a label with capacity left, and the unit flows along it
+    as far as the path allows.  Every augmentation keeps the partial flow
+    optimal, so the result is exact for real capacities.  Ties go to the
+    lowest label and row; a path is only replaced by one cheaper by more
+    than 1e-14 times the cost scale.
+    """
+    g = np.asarray(g, dtype=float)
+    m, nlab = g.shape
+    rem = np.array(caps, dtype=float)
+    if abs(float(rem.sum()) - m) > 1e-12 * m:
+        raise InfeasibleError("capacities must sum to the row count")
+    v = np.zeros((m, nlab))
+    tol = 1e-14 * (1.0 + float(np.abs(g).max()))
+    moves = g[:, None, :] - g[:, :, None]  # [j, k, l]: row j from label k to l
+    for i in range(m):
+        left = 1.0
+        # a shortfall of the capacities by rounding stays unplaced
+        while left > 0.0 and np.any(rem > 0.0):
+            cost = np.where((v > 0.0)[:, :, None], moves, np.inf)
+            via, hop = cost.argmin(axis=0), cost.min(axis=0)
+            dist, prev = g[i].copy(), np.full(nlab, -1)
+            for _ in range(nlab - 1):
+                cand = dist[:, None] + hop
+                best = cand.min(axis=0)
+                better = best < dist - tol
+                if not better.any():
+                    break
+                prev[better] = cand.argmin(axis=0)[better]
+                dist[better] = best[better]
+            sink = int(np.argmin(np.where(rem > 0.0, dist, np.inf)))
+            path, node = [], sink
+            # a path has at most nlab - 1 hops, even if rounding closed a cycle
+            while prev[node] >= 0 and len(path) < nlab - 1:
+                path.append((int(via[prev[node], node]), int(prev[node]), node))
+                node = int(prev[node])
+            amount = min([left, rem[sink]] + [v[j, k] for j, k, _ in path])
+            v[i, node] += amount
+            for j, k, l in path:
+                v[j, k] -= amount
+                v[j, l] += amount
+            rem[sink] -= amount
+            left -= amount
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -362,24 +443,7 @@ class _TransportSet:
         return project_polytope(y, self.masses)
 
     def lmo(self, g):
-        """Exact linear minimization over the transportation polytope."""
-        from scipy.optimize import linprog
-
-        m, nlab = g.shape
-        a_eq = np.zeros((m + nlab, m * nlab))
-        b_eq = np.zeros(m + nlab)
-        for i in range(m):
-            a_eq[i, i * nlab : (i + 1) * nlab] = 1.0
-            b_eq[i] = 1.0
-        for k in range(nlab):
-            a_eq[m + k, k::nlab] = 1.0
-            b_eq[m + k] = m * self.masses[k]
-        res = linprog(
-            g.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0), method="highs"
-        )
-        if not res.success:
-            raise InfeasibleError(f"transportation oracle failed: {res.message}")
-        return res.x.reshape(m, nlab)
+        return transport_lmo(g, self.m * self.masses)
 
 
 def _pgd(kernel_q, model, feasible, x, max_iters, tol):
@@ -409,21 +473,21 @@ def _pgd(kernel_q, model, feasible, x, max_iters, tol):
 
 
 def _fw(kernel_q, model, feasible, x, max_iters, tol):
+    # along d = v - x the energy is e(x) - s gap + s^2 q, q = e(v) - e(x) + gap,
+    # so the exact step on [0, 1] (Frank and Wolfe 1956) never raises it
     energy = limit_cut_energy(kernel_q, feasible.weights(x), model)
-    best_x, best_e = x.copy(), energy
     iters = 0
-    for t in range(max_iters):
+    for _ in range(max_iters):
         g = feasible.reduce(limit_energy_gradient(kernel_q, feasible.weights(x), model))
         v = feasible.lmo(g)
         gap = float(np.vdot(g, x - v))
         if gap <= tol:
             break
-        x = x + (2.0 / (t + 2.0)) * (v - x)
+        q = limit_cut_energy(kernel_q, feasible.weights(v), model) - energy + gap
+        x = x + (min(1.0, gap / (2.0 * q)) if q > 0.0 else 1.0) * (v - x)
         energy = limit_cut_energy(kernel_q, feasible.weights(x), model)
         iters += 1
-        if energy < best_e:
-            best_x, best_e = x.copy(), energy
-    return best_x, best_e, iters
+    return x, energy, iters
 
 
 def minimize_limit_energy(
@@ -444,12 +508,13 @@ def minimize_limit_energy(
     every label count; they run over one of two feasible sets.  With two
     labels the iterate is the label-0 weight, projected by the exact
     scalar-shift box projection, with a sorting linear oracle; with more
-    labels it is the full weight matrix, with Dykstra projections and an
-    exact transportation oracle.  Energies and gradients are always those of
-    the full field.  The projected-gradient line search starts at 1/L with
-    the step constant L = 2 sum|f| max|Wbar| / m and halves until the energy
-    does not rise.  Restarts draw seeded feasible starts; the report keeps
-    the best (value, argument) pair.
+    labels it is the full weight matrix, with the exact polytope projection
+    and the successive-shortest-path transportation oracle.  Energies and
+    gradients are always those of the full field.  The projected-gradient
+    line search starts at 1/L with the step constant L = 2 sum|f| max|Wbar|
+    / m and halves until the energy does not rise.  Frank-Wolfe takes the
+    exact step on the quadratic energy.  Restarts draw seeded feasible
+    starts; the report keeps the best (value, argument) pair.
     """
     masses = np.asarray(masses, dtype=float)
     if masses.size != model.n_labels:

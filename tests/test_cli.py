@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -101,6 +104,34 @@ def test_solve_limit_and_kkt_cli(tmp_path, capsys):
     assert code == 0
     kkt = json.loads(out)
     assert "residual" in kkt and "phi" in kkt
+
+
+# three-label solve-limit by both methods with scipy made unimportable; the
+# tests workflow runs the same commands in an install without scipy
+_NO_SCIPY_SMOKE = """
+import sys
+sys.modules["scipy"] = None
+from graphlim.cli import main
+out = sys.argv[1]
+gen = ["gen", "--family", "blocks", "--n", "8", "--lambdas", "0.5,0.5",
+       "--out", out + "/g.json", "--limit-out", out + "/k.json"]
+assert main(gen) == 0
+for method in ("pgd", "frank_wolfe"):
+    assert main(["solve-limit", "--graphon", out + "/k.json", "--masses", "0.5,0.25,0.25",
+                 "--grid", "4", "--method", method, "--restarts", "2"]) == 0
+"""
+
+
+def test_three_label_solve_limit_runs_without_scipy(tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SMOKE, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_converge_cli_and_determinism(tmp_path, capsys):

@@ -477,12 +477,45 @@ def test_consistency_identity_random_graphs(motif):
         assert float(exact) == pytest.approx(approx, abs=1e-12)
 
 
+def _boolean_hom_count(motif, g):
+    # reference: mark the adjacency-preserving maps in an n^k boolean tensor
+    k, n = motif.n, g.n
+    adj = g.adjacency()
+    ok = np.ones((n,) * k, dtype=bool)
+    for i, j in motif.edges:
+        u, v = i - 1, j - 1
+        axes = tuple(d for d in range(k) if d not in (u, v))
+        ok &= np.expand_dims(adj, axis=axes)
+    return int(ok.sum())
+
+
+def test_hom_density_graph_matches_boolean_count():
+    from graphlim.graphons import motif_cycle4
+
+    motifs = [
+        motif_edge(),
+        motif_path3(),
+        motif_triangle(),
+        motif_cycle4(),
+        Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)]),
+        Graph.from_edges(3, [(1, 2)]),
+        complete(5).graph,
+    ]
+    for n in range(1, 13):
+        g = random_graph(9100 + n, n)
+        for motif in motifs:
+            expected = Fraction(_boolean_hom_count(motif, g), n**motif.n)
+            assert hom_density_graph(motif, g) == expected
+
+
 def test_hom_density_capacity_errors():
     big_motif = complete(6).graph
     with pytest.raises(CapacityError):
         hom_density_graph(big_motif, complete(4).graph)
+    # 26^5 vertex assignments exceed the 10^7 cap of the exact summation
     with pytest.raises(CapacityError):
-        hom_density_graph(motif_edge(), complete(13).graph)
+        hom_density_graph(complete(5).graph, Graph.from_edges(26, []))
+    assert hom_density_graph(complete(5).graph, Graph.from_edges(25, [])) == 0
     wide = StepGraphon(np.full(30, 1 / 30), np.zeros((30, 30)))
     with pytest.raises(CapacityError):
         hom_density_graphon(complete(5).graph, wide)

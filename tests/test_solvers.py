@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from graphlim.errors import CapacityError, InfeasibleError, ParameterError
 from graphlim.families import bipartite, block_family, complete, halfgraph
@@ -25,6 +26,7 @@ from graphlim.solvers import (
     project_polytope,
     sharpen_plateau,
     swap_descent,
+    transport_lmo,
 )
 
 from conftest import philox, random_graph
@@ -338,6 +340,105 @@ def test_projection_polytope_feasibility():
     assert x.min() >= -1e-9
 
 
+def test_projection_polytope_is_the_projection():
+    # two labels reduce to the box-mean projection of (y0 - y1 + 1) / 2,
+    # which puts label 0 at (0.005, 0.255); (0.08, 0.18) is feasible but
+    # farther from y
+    y = np.array([[-1.6, -0.3], [-1.0, -0.2]])
+    x = project_polytope(y, (0.13, 0.87))
+    assert np.abs(x[:, 0] - [0.005, 0.255]).max() <= 1e-12
+    assert np.abs(x[:, 1] - [0.995, 0.745]).max() <= 1e-12
+
+
+def _random_masses(draw, nlab):
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=nlab, max_size=nlab))
+    if sum(raw) == 0.0:
+        raw[0] = 1.0
+    return np.asarray(raw) / sum(raw)
+
+
+@st.composite
+def polytope_inputs(draw):
+    m = draw(st.integers(1, 40))
+    nlab = draw(st.integers(2, 5))
+    scale = 10.0 ** draw(st.floats(-1.0, 1.0))
+    y = scale * philox(draw(st.integers(0, 10**6))).normal(size=(m, nlab))
+    return y, _random_masses(draw, nlab), scale
+
+
+@given(polytope_inputs())
+@settings(max_examples=300, deadline=None)
+def test_projection_polytope_properties(case):
+    y, masses, scale = case
+    m = y.shape[0]
+    x = project_polytope(y, masses)
+    assert np.abs(x.sum(axis=1) - 1.0).max() <= 1e-12
+    assert x.min() >= 0.0
+    assert np.abs(x.mean(axis=0) - masses).max() <= 1e-12
+    assert np.abs(project_polytope(x, masses) - x).max() <= 1e-12
+    # optimality: y - x lies in the normal cone, <x - y, v - x> >= 0 on the
+    # polytope, and the exact oracle finds the smallest left-hand side
+    v = transport_lmo(x - y, m * masses)
+    assert float(np.vdot(x - y, v - x)) >= -1e-9 * scale
+
+
+def test_projection_polytope_rejects_unreachable_means():
+    with pytest.raises(InfeasibleError):
+        project_polytope(np.zeros((4, 3)), (0.5, 0.5, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# transportation oracle
+
+
+def _linprog_transport(g, caps):
+    # reference: the dense (m + N) x mN equality LP, solved by HiGHS
+    m, nlab = g.shape
+    a_eq = np.zeros((m + nlab, m * nlab))
+    b_eq = np.zeros(m + nlab)
+    for i in range(m):
+        a_eq[i, i * nlab : (i + 1) * nlab] = 1.0
+        b_eq[i] = 1.0
+    for k in range(nlab):
+        a_eq[m + k, k::nlab] = 1.0
+        b_eq[m + k] = caps[k]
+    res = linprog(g.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0), method="highs")
+    assert res.success
+    return res.x.reshape(m, nlab)
+
+
+@st.composite
+def transport_inputs(draw):
+    m = draw(st.integers(1, 30))
+    nlab = draw(st.integers(2, 5))
+    rng = philox(draw(st.integers(0, 10**6)))
+    scale = 10.0 ** draw(st.floats(-1.0, 1.0))
+    # few decimals make tied costs and tied vertices common
+    g = np.round(scale * rng.normal(size=(m, nlab)), draw(st.integers(0, 2)))
+    # HiGHS reads a capacity below its 1e-7 feasibility tolerance as zero, so
+    # the masses are ratios of small integers: exact zeros, never near-zeros
+    parts = draw(st.lists(st.integers(0, 12), min_size=nlab, max_size=nlab))
+    parts[0] += sum(parts) == 0
+    masses = np.asarray(parts) / sum(parts)
+    if draw(st.booleans()):
+        caps = rng.multinomial(m, masses).astype(float)
+    else:
+        caps = m * masses
+    return g, caps, max(1.0, float(np.abs(g).max()))
+
+
+@given(transport_inputs())
+@settings(max_examples=300, deadline=None)
+def test_transport_lmo_matches_linprog(case):
+    g, caps, scale = case
+    v = transport_lmo(g, caps)
+    assert v.min() >= 0.0
+    assert np.abs(v.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(v.sum(axis=0) - caps).max() <= 1e-12
+    reference = _linprog_transport(g, caps)
+    assert abs(float(np.vdot(g, v)) - float(np.vdot(g, reference))) <= 1e-12 * scale
+
+
 # ---------------------------------------------------------------------------
 # continuum minimization
 
@@ -458,6 +559,21 @@ def test_report_matches_its_own_field(problem, method, seed):
     weights = rep.theta.weights
     assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-9
     assert np.abs(weights.mean(axis=0) - masses).max() <= 1e-9
+
+
+def test_frank_wolfe_bipartite_reaches_minimum_early():
+    rep = minimize_limit_energy(
+        BipartiteSplitKernel(0.5), spin, (0.5, 0.5), 48, method="frank_wolfe", seed=0
+    )
+    assert abs(rep.value - 1.0) <= 1e-12
+    assert rep.iterations < 5000
+
+
+def test_frank_wolfe_halfgraph_reaches_third():
+    rep = minimize_limit_energy(
+        HalfGraphKernel(), spin, (0.5, 0.5), 48, method="frank_wolfe", seed=0, restarts=4
+    )
+    assert rep.value <= 1 / 3 + 1e-9
 
 
 def test_minimize_rejects_bad_masses_and_method():
