@@ -58,11 +58,11 @@ def cell_averages(w, m: int) -> QuadratureKernel:
     raise ParameterError(f"unsupported kernel object {type(w).__name__}")
 
 
-def _weights_of(theta):
+def _weights_of(theta, stacked=False):
     if isinstance(theta, ThetaField):
         return theta.weights
     arr = np.asarray(theta, dtype=float)
-    if arr.ndim != 2:
+    if arr.ndim < 2 or (arr.ndim > 2 and not stacked):
         raise ParameterError("theta must be an m x N weight matrix")
     return arr
 
@@ -82,20 +82,28 @@ def discrete_cut_energy(g: Graph, u, model: LabelModel) -> float:
 
 
 def limit_cut_energy(w, theta, model: LabelModel) -> float:
-    """Continuum cut energy sum_hk f_hk <theta_h, Wbar theta_k> / m^2."""
-    weights = _weights_of(theta)
-    m, nlab = weights.shape
+    """Continuum cut energy sum_hk f_hk <theta_h, Wbar theta_k> / m^2.
+
+    theta may also be a stack (..., m, N) of weight matrices; the result is
+    then the array of their energies, each equal to that of its field alone.
+    """
+    weights = _weights_of(theta, stacked=True)
+    m, nlab = weights.shape[-2:]
     if nlab != model.n_labels:
         raise ParameterError("field and model disagree on the number of labels")
     kernel = cell_averages(w, m)
-    mixed = weights.T @ kernel.matrix @ weights
-    return float((model.coupling * mixed).sum()) / (m * m)
+    mixed = np.swapaxes(weights, -1, -2) @ kernel.matrix @ weights
+    energy = (model.coupling * mixed).sum(axis=(-2, -1)) / (m * m)
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def limit_energy_gradient(w, theta, model: LabelModel) -> np.ndarray:
-    """Partial derivatives of the discretized energy in every weight entry."""
-    weights = _weights_of(theta)
-    m = weights.shape[0]
+    """Partial derivatives of the discretized energy in every weight entry.
+
+    Like limit_cut_energy, it takes one field or a stack (..., m, N).
+    """
+    weights = _weights_of(theta, stacked=True)
+    m = weights.shape[-2]
     kernel = cell_averages(w, m)
     return (2.0 / (m * m)) * (kernel.matrix @ weights @ model.coupling)
 

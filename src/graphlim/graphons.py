@@ -39,10 +39,16 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError("graph needs at least one node")
-        for e in self.edges:
-            i, j = e
-            if not (1 <= i < j <= self.n):
-                raise ParameterError(f"edge {e} out of range for n={self.n}")
+        # one pass over the edge tuples, kept for every later edge_array() call
+        flat = itertools.chain.from_iterable(self.edges)
+        pairs = np.fromiter(flat, dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2)
+        pairs.flags.writeable = False
+        object.__setattr__(self, "_pairs", pairs)
+        i, j = pairs.T
+        bad = np.flatnonzero((i < 1) | (i >= j) | (j > self.n))
+        if bad.size:
+            e = next(itertools.islice(self.edges, int(bad[0]), None))
+            raise ParameterError(f"edge {e} out of range for n={self.n}")
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -62,9 +68,8 @@ class Graph:
         return sorted(self.edges)
 
     def edge_array(self):
-        """(E, 2) integer array of the edges, in the iteration order of ``edges``."""
-        flat = itertools.chain.from_iterable(self.edges)
-        return np.fromiter(flat, dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2)
+        """Read-only (E, 2) integer array of the edges, in the order of ``edges``."""
+        return self._pairs
 
     def adjacency(self):
         a = np.zeros((self.n, self.n), dtype=bool)

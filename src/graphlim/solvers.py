@@ -226,46 +226,50 @@ def local_search_partition(
 def project_box_mean(y, mean, lo=0.0, hi=1.0):
     """Euclidean projection onto {x in [lo,hi]^m : mean(x) = mean}.
 
-    The projection is clip(y + tau) for a scalar shift tau.  The clipped sum
-    S(tau) = sum_i clip(y_i + tau, lo, hi) is piecewise linear and
-    nondecreasing, with breakpoints lo - y_i and hi - y_i (Held, Wolfe and
-    Crowder 1974; Condat 2016).  After one sort, S is evaluated at every
-    breakpoint through prefix sums, which brackets the target m * mean
-    between two neighbouring breakpoints.  On that piece the set of free
-    coordinates (strictly inside the box) is fixed, and tau is solved from
-    it in closed form, so the mean of the result is exact up to rounding.
-    Cost O(m log m).
+    Works along the last axis: y is one vector or a stack (..., m) of rows,
+    each projected on its own, and a row of a stack comes out exactly as it
+    would alone.  The projection is clip(y + tau) for a scalar shift tau per
+    row.  The clipped sum S(tau) = sum_i clip(y_i + tau, lo, hi) is
+    piecewise linear and nondecreasing, with breakpoints lo - y_i and
+    hi - y_i (Held, Wolfe and Crowder 1974; Condat 2016).  After one sort
+    of the breakpoints, S at each of them follows from the slope of S, the
+    number of free coordinates, which grows by one past each lo - y_i and
+    falls by one past each hi - y_i.  The count of breakpoints where S is
+    below the target m * mean brackets the target between two neighbours.
+    On that piece the set of free coordinates (strictly inside the box) is
+    fixed, and tau is solved from it in closed form, so the mean of the
+    result is exact up to rounding.  Cost O(m log m) per row.
     """
     y = np.asarray(y, dtype=float)
-    m = y.size
+    m = y.shape[-1]
     if not lo <= mean <= hi:
         raise InfeasibleError("target mean outside the box range")
     target = m * mean
-    srt = np.sort(y)
-    csum = np.concatenate(([0.0], np.cumsum(srt)))
-    taus = np.sort(np.concatenate((lo - srt, hi - srt)))
-    # at each breakpoint: coordinates clipped at lo, clipped at hi, the rest free
-    n_lo = np.searchsorted(srt, lo - taus, side="right")
-    n_hi = m - np.searchsorted(srt, hi - taus, side="left")
-    sums = (
-        lo * n_lo
-        + hi * n_hi
-        + (csum[m - n_hi] - csum[n_lo])
-        + (m - n_lo - n_hi) * taus
-    )
-    # S reaches the target on [taus[k-1], taus[k]]; the clamp covers
+    breaks = np.concatenate((lo - y, hi - y), axis=-1)
+    order = np.argsort(breaks, axis=-1)
+    taus = np.take_along_axis(breaks, order, axis=-1)
+    slope = np.cumsum(np.where(order < m, 1.0, -1.0), axis=-1)
+    rise = np.cumsum(slope[..., :-1] * np.diff(taus, axis=-1), axis=-1)
+    # S is m * lo at the first breakpoint and m * lo + rise after it
+    below = (m * lo < target) + (m * lo + rise < target).sum(axis=-1, keepdims=True)
+    # S reaches the target on [taus[k-1], taus[k]]; the clip covers
     # mean == lo and mean == hi, where the piece next to the end is used
-    k = min(max(int(np.searchsorted(sums, target)), 1), taus.size - 1)
-    inner = y + 0.5 * (taus[k - 1] + taus[k])
+    k = np.clip(below, 1, 2 * m - 1)
+    ends = np.take_along_axis(taus, np.concatenate((k - 1, k), axis=-1), axis=-1)
+    inner = y + 0.5 * (ends[..., :1] + ends[..., 1:])
     at_lo = inner <= lo
     at_hi = inner >= hi
     free = ~(at_lo | at_hi)
-    n_free = int(free.sum())
-    if n_free:
-        tau = (target - lo * at_lo.sum() - hi * at_hi.sum() - y[free].sum()) / n_free
-    else:
-        # S is flat on this piece (tied breakpoints): its end already lands
-        tau = taus[k]
+    n_free = free.sum(axis=-1, keepdims=True)
+    rest = (
+        target
+        - lo * at_lo.sum(axis=-1, keepdims=True)
+        - hi * at_hi.sum(axis=-1, keepdims=True)
+        - np.where(free, y, 0.0).sum(axis=-1, keepdims=True)
+    )
+    # with no free coordinate S is flat on the piece (tied breakpoints) and
+    # its end already lands on the target
+    tau = np.where(n_free > 0, rest / np.maximum(n_free, 1), ends[..., 1:])
     return np.clip(y + tau, lo, hi)
 
 
@@ -391,21 +395,22 @@ def transport_lmo(g, caps):
 
 
 class _BoxMeanSet:
-    """Two labels: the iterate is the label-0 weight x with mean(x) fixed."""
+    """Two labels: the iterate is the label-0 weight x with mean(x) fixed.
+
+    Every method takes a stack (R, m) of iterates, one row per restart.
+    """
 
     def __init__(self, masses, m):
         self.mass0 = masses[0]
         self.m = m
-
-    def start(self, rng):
-        return project_box_mean(rng.random(self.m), self.mass0)
+        self.shape = (m,)
 
     def weights(self, x):
-        return np.column_stack((x, 1.0 - x))
+        return np.stack((x, 1.0 - x), axis=-1)
 
     def reduce(self, g):
         # moving x moves the label-1 weight the other way
-        return g[:, 0] - g[:, 1]
+        return g[..., 0] - g[..., 1]
 
     def project(self, y):
         return project_box_mean(y, self.mass0)
@@ -413,25 +418,29 @@ class _BoxMeanSet:
     def lmo(self, g):
         """Minimize <g, v> over the box with sum(v) = m * mass0, by greedy fill."""
         total = self.m * self.mass0
-        order = np.argsort(g, kind="stable")
-        v = np.zeros(self.m)
+        fill = np.zeros(self.m)
         full = int(np.floor(total + 1e-9))
-        v[order[:full]] = 1.0
+        fill[:full] = 1.0
         rem = total - full
         if rem > 1e-12 and full < self.m:
-            v[order[full]] = rem
+            fill[full] = rem
+        v = np.empty_like(g)
+        order = np.argsort(g, axis=-1, kind="stable")
+        np.put_along_axis(v, order, np.broadcast_to(fill, g.shape), axis=-1)
         return v
 
 
 class _TransportSet:
-    """Other label counts: the iterate is the full m x N weight matrix."""
+    """Other label counts: the iterate is the full m x N weight matrix.
+
+    Every method takes a stack (R, m, N) of iterates and treats its rows one
+    by one.
+    """
 
     def __init__(self, masses, m):
         self.masses = masses
         self.m = m
-
-    def start(self, rng):
-        return project_polytope(rng.random((self.m, self.masses.size)), self.masses)
+        self.shape = (m, masses.size)
 
     def weights(self, x):
         return x
@@ -440,53 +449,80 @@ class _TransportSet:
         return g
 
     def project(self, y):
-        return project_polytope(y, self.masses)
+        return np.stack([project_polytope(row, self.masses) for row in y])
 
     def lmo(self, g):
-        return transport_lmo(g, self.m * self.masses)
+        return np.stack([transport_lmo(row, self.m * self.masses) for row in g])
+
+
+def _rowwise(a, like):
+    # one value per row of a stack, shaped to broadcast against it
+    return a.reshape(a.shape + (1,) * (like.ndim - 1))
+
+
+def _row_max(a):
+    return a.max(axis=tuple(range(1, a.ndim)))
 
 
 def _pgd(kernel_q, model, feasible, x, max_iters, tol):
+    # every row of x is one restart, updated in place; a row retires when it
+    # stops, and the others go on exactly as they would alone
     lip = 2.0 * float(np.abs(model.coupling).sum()) * kernel_q.max_abs() / kernel_q.m
     step = 1.0 / lip if lip > 0 else 1.0
     energy = limit_cut_energy(kernel_q, feasible.weights(x), model)
-    iters = 0
+    iters = np.zeros(len(x), dtype=int)
+    live = np.arange(len(x))
     for _ in range(max_iters):
-        g = feasible.reduce(limit_energy_gradient(kernel_q, feasible.weights(x), model))
-        mapped = feasible.project(x - g)
-        if float(np.abs(x - mapped).max()) <= tol:
+        if live.size == 0:
             break
-        trial = step
-        accepted = False
+        xl = x[live]
+        g = feasible.reduce(limit_energy_gradient(kernel_q, feasible.weights(xl), model))
+        go = ~(_row_max(np.abs(xl - feasible.project(xl - g))) <= tol)
+        live, xl, g, el = live[go], xl[go], g[go], energy[live[go]]
+        trial = np.full(live.size, step)
+        xn = np.empty_like(xl)
+        en = np.empty(live.size)
+        pending = np.ones(live.size, dtype=bool)
         for _ in range(60):
-            xn = feasible.project(x - trial * g)
-            en = limit_cut_energy(kernel_q, feasible.weights(xn), model)
-            if en <= energy:
-                accepted = True
+            p = np.flatnonzero(pending)
+            if p.size == 0:
                 break
-            trial *= 0.5
-        if not accepted or float(np.abs(xn - x).max()) <= 1e-15:
-            break
-        x, energy = xn, en
-        iters += 1
+            xn[p] = feasible.project(xl[p] - _rowwise(trial[p], xl) * g[p])
+            en[p] = limit_cut_energy(kernel_q, feasible.weights(xn[p]), model)
+            pending[p] = ~(en[p] <= el[p])
+            trial[pending] *= 0.5
+        # a failed or stalled line search ends the row
+        go = ~pending & ~(_row_max(np.abs(xn - xl)) <= 1e-15)
+        live = live[go]
+        x[live], energy[live] = xn[go], en[go]
+        iters[live] += 1
     return x, energy, iters
 
 
 def _fw(kernel_q, model, feasible, x, max_iters, tol):
     # along d = v - x the energy is e(x) - s gap + s^2 q, q = e(v) - e(x) + gap,
-    # so the exact step on [0, 1] (Frank and Wolfe 1956) never raises it
+    # so the exact step on [0, 1] (Frank and Wolfe 1956) never raises it; rows
+    # of x are updated in place as in _pgd
     energy = limit_cut_energy(kernel_q, feasible.weights(x), model)
-    iters = 0
+    iters = np.zeros(len(x), dtype=int)
+    live = np.arange(len(x))
     for _ in range(max_iters):
-        g = feasible.reduce(limit_energy_gradient(kernel_q, feasible.weights(x), model))
-        v = feasible.lmo(g)
-        gap = float(np.vdot(g, x - v))
-        if gap <= tol:
+        if live.size == 0:
             break
-        q = limit_cut_energy(kernel_q, feasible.weights(v), model) - energy + gap
-        x = x + (min(1.0, gap / (2.0 * q)) if q > 0.0 else 1.0) * (v - x)
-        energy = limit_cut_energy(kernel_q, feasible.weights(x), model)
-        iters += 1
+        xl = x[live]
+        g = feasible.reduce(limit_energy_gradient(kernel_q, feasible.weights(xl), model))
+        v = feasible.lmo(g)
+        # one dot product per row, as np.vdot would take it
+        gap = (g.reshape(live.size, 1, -1) @ (xl - v).reshape(live.size, -1, 1))[:, 0, 0]
+        go = ~(gap <= tol)
+        live, xl, v, gap = live[go], xl[go], v[go], gap[go]
+        q = limit_cut_energy(kernel_q, feasible.weights(v), model) - energy[live] + gap
+        s = np.ones(live.size)
+        curved = q > 0.0
+        s[curved] = np.minimum(1.0, gap[curved] / (2.0 * q[curved]))
+        x[live] = xl + _rowwise(s, xl) * (v - xl)
+        energy[live] = limit_cut_energy(kernel_q, feasible.weights(x[live]), model)
+        iters[live] += 1
     return x, energy, iters
 
 
@@ -513,8 +549,13 @@ def minimize_limit_energy(
     gradients are always those of the full field.  The projected-gradient
     line search starts at 1/L with the step constant L = 2 sum|f| max|Wbar|
     / m and halves until the energy does not rise.  Frank-Wolfe takes the
-    exact step on the quadratic energy.  Restarts draw seeded feasible
-    starts; the report keeps the best (value, argument) pair.
+    exact step on the quadratic energy.  Restart r starts from
+    Philox(seed + r) uniforms projected onto the feasible set.  All restarts
+    run together as one stacked iterate, one row each, and a row retires
+    when it stops (tolerance, failed or stalled line search, max_iters);
+    each row takes exactly the steps a one-restart solve with its seed
+    would.  The report keeps the best (value, argument) pair, and its
+    iteration count is that of the winning restart.
     """
     masses = np.asarray(masses, dtype=float)
     if masses.size != model.n_labels:
@@ -528,30 +569,31 @@ def minimize_limit_energy(
     kernel_q = cell_averages(w, m)
     feasible = (_BoxMeanSet if model.n_labels == 2 else _TransportSet)(masses, m)
     solve = _pgd if method == "pgd" else _fw
-    best = None
-    for r in range(restarts):
-        rng = np.random.Generator(np.random.Philox(seed + r))
-        x, energy, iters = solve(
-            kernel_q, model, feasible, feasible.start(rng), max_iters, tol
-        )
-        # with two labels, x orders the fields as their full weights would
-        key = (energy, tuple(x.ravel()))
-        if best is None or key < best[0]:
-            best = (key, x, iters)
-    x = np.clip(best[1], 0.0, 1.0)
+    starts = np.stack(
+        [
+            np.random.Generator(np.random.Philox(seed + r)).random(feasible.shape)
+            for r in range(restarts)
+        ]
+    )
+    xs, energies, iters = solve(
+        kernel_q, model, feasible, feasible.project(starts), max_iters, tol
+    )
+    # with two labels, x orders the fields as their full weights would
+    best = min(range(restarts), key=lambda r: (energies[r], tuple(xs[r].ravel())))
+    x = np.clip(xs[best], 0.0, 1.0)
     theta = ThetaField(feasible.weights(x))
     value = limit_cut_energy(kernel_q, theta, model)
     if model.is_spin:
         residual = kkt_residual(kernel_q, theta, model).residual
     else:
         g = feasible.reduce(limit_energy_gradient(kernel_q, theta.weights, model))
-        residual = float(np.abs(x - feasible.project(x - g)).max())
+        residual = float(np.abs(x - feasible.project((x - g)[None])[0]).max())
     return SolveReport(
         value=value,
         method=method,
         seed=seed,
         restarts=restarts,
-        iterations=best[2],
+        iterations=int(iters[best]),
         theta=theta,
         residual=residual,
     )

@@ -58,6 +58,18 @@ def test_graph_rejects_loops_and_out_of_range():
         Graph.from_edges(3, [(1, 4)])
 
 
+def test_graph_names_first_bad_edge():
+    with pytest.raises(ParameterError, match=r"edge \(1, 4\) out of range for n=3"):
+        Graph(3, frozenset({(1, 2), (1, 4)}))
+    with pytest.raises(ParameterError, match=r"edge \(3, 2\) out of range for n=3"):
+        Graph(3, frozenset({(1, 2), (3, 2)}))
+    # several bad edges: the first in the iteration order of the edge set
+    edges = frozenset({(0, 1), (2, 1), (1, 2), (3, 5), (2, 3)})
+    first = next(e for e in edges if not 1 <= e[0] < e[1] <= 3)
+    with pytest.raises(ParameterError, match=rf"edge \({first[0]}, {first[1]}\) "):
+        Graph(3, edges)
+
+
 def test_from_graph_k2():
     w = step_from_graph(complete(2).graph)
     assert np.array_equal(w.widths, [0.5, 0.5])

@@ -287,12 +287,16 @@ def _bisection_box_mean(y, mean, lo, hi):
 
 
 @st.composite
-def box_mean_inputs(draw):
-    m = draw(st.integers(1, 40))
+def box_mean_inputs(draw, max_m=40, max_rows=4):
+    """y is one vector (rows = 0) or a stack of rows sharing mean and box."""
+    m = draw(st.integers(1, max_m))
+    rows = draw(st.integers(0, max_rows))
     scale = 10.0 ** draw(st.integers(-3, 3))
     # a few fixed values make ties between entries common
     entry = st.floats(-1.0, 1.0) | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
-    y = scale * np.asarray(draw(st.lists(entry, min_size=m, max_size=m)))
+    size = m * max(rows, 1)
+    y = scale * np.asarray(draw(st.lists(entry, min_size=size, max_size=size)))
+    y = y.reshape(rows, m) if rows else y
     lo = draw(st.floats(-2.0, 1.0))
     hi = lo + draw(st.floats(0.0, 3.0))
     where = draw(st.sampled_from(["lo", "hi", "inside"]))
@@ -305,8 +309,14 @@ def box_mean_inputs(draw):
 @given(box_mean_inputs())
 @settings(max_examples=300, deadline=None)
 def test_projection_box_mean_properties(case):
-    y, mean, lo, hi = case
-    x = project_box_mean(y, mean, lo, hi)
+    y_in, mean, lo, hi = case
+    x_out = project_box_mean(y_in, mean, lo, hi)
+    assert x_out.shape == y_in.shape
+    for y, x in zip(np.atleast_2d(y_in), np.atleast_2d(x_out)):
+        _check_box_mean_row(y, x, mean, lo, hi)
+
+
+def _check_box_mean_row(y, x, mean, lo, hi):
     scale = max(1.0, float(np.abs(y).max()))
     assert np.all(x >= lo) and np.all(x <= hi)
     assert abs(x.mean() - mean) <= 1e-12
@@ -329,6 +339,17 @@ def test_projection_box_mean_properties(case):
     assert np.all(y[at_hi] + tau_hi >= hi - tol)
     reference = _bisection_box_mean(y, mean, lo, hi)
     assert np.abs(x - reference).max() <= 1e-9 * scale
+
+
+@given(box_mean_inputs(max_m=80, max_rows=8))
+@settings(max_examples=150, deadline=None)
+def test_projection_box_mean_rows_match_single_calls(case):
+    # a stacked call is the one-row call applied to each row, bit for bit
+    y, mean, lo, hi = case
+    rows = np.atleast_2d(y)
+    stacked = project_box_mean(rows, mean, lo, hi)
+    for row, out in zip(rows, stacked):
+        assert project_box_mean(row, mean, lo, hi).tobytes() == out.tobytes()
 
 
 def test_projection_polytope_feasibility():
@@ -559,6 +580,30 @@ def test_report_matches_its_own_field(problem, method, seed):
     weights = rep.theta.weights
     assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-9
     assert np.abs(weights.mean(axis=0) - masses).max() <= 1e-9
+
+
+@given(
+    grid_problems(),
+    st.sampled_from(["pgd", "frank_wolfe"]),
+    st.integers(0, 1000),
+    st.integers(1, 4),
+    st.sampled_from([4, 40]),
+)
+@settings(max_examples=80, deadline=None)
+def test_restarts_reduce_to_best_single_restart(problem, method, seed, restarts, iters):
+    # restart r is the one-restart solve with seed + r; the best value wins,
+    # then the lexicographically smallest field.  Few iterations keep the
+    # fields apart, more let rows stop at different steps.
+    w, m, model, masses = problem
+    solve = dict(w=w, model=model, masses=masses, m=m, method=method, max_iters=iters)
+    rep = minimize_limit_energy(seed=seed, restarts=restarts, **solve)
+    singles = [
+        minimize_limit_energy(seed=seed + r, restarts=1, **solve) for r in range(restarts)
+    ]
+    best = min(singles, key=lambda s: (s.value, tuple(s.theta.weights.ravel())))
+    assert rep.value == best.value
+    assert rep.theta.weights.tobytes() == best.theta.weights.tobytes()
+    assert rep.iterations == best.iterations
 
 
 def test_frank_wolfe_bipartite_reaches_minimum_early():
