@@ -274,64 +274,104 @@ def project_box_mean(y, mean, lo=0.0, hi=1.0):
 
 
 def project_rows_simplex(y):
-    """Row-wise Euclidean projection onto the probability simplex."""
+    """Euclidean projection of each row (last axis) onto the probability simplex."""
     y = np.asarray(y, dtype=float)
-    m, n = y.shape
-    srt = np.sort(y, axis=1)[:, ::-1]
-    cums = np.cumsum(srt, axis=1) - 1.0
-    ks = np.arange(1, n + 1)
-    cond = srt - cums / ks > 0
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
-    tau = cums[np.arange(m), rho] / (rho + 1.0)
-    return np.maximum(y - tau[:, None], 0.0)
+    n = y.shape[-1]
+    srt = np.sort(y, axis=-1)[..., ::-1]
+    cums = np.cumsum(srt, axis=-1) - 1.0
+    cond = srt - cums / np.arange(1, n + 1) > 0
+    rho = n - 1 - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
+    tau = np.take_along_axis(cums, rho, axis=-1) / (rho + 1.0)
+    return np.maximum(y - tau, 0.0)
 
 
 def project_polytope(y, masses):
     """Euclidean projection onto {rows in the simplex, column means = masses}.
 
+    y is one m x N matrix or a stack (..., m, N) of them, each projected on
+    its own, and a problem of a stack comes out exactly as it would alone.
     Row i of the projection is project_rows_simplex(y_i - mu) for the dual
     vector mu that maximizes the concave, piecewise quadratic dual, whose
     gradient is r = colsum(x) - m * masses.  Newton steps solve
     (L + max|r| / (ptp(y) + 1) I) step = r, with L = sum_i (D_i - a_i a_i' /
     |A_i|) the Laplacian of the active entries (x_ik > 0).  Rows with one
     active label add no curvature; the shift keeps steps along such flat
-    directions about as long as the spread of y, and vanishes with r.  A
-    step is halved until the dual still rises at its end, <r, step> >= 0, a
-    test on residuals that rounding of the dual value cannot upset.  Returns
-    once every column sum is within 1e-12 * m of its target; raises
-    InfeasibleError when 100 steps do not get there.
+    directions about as long as the spread of y, and vanishes with r.
+
+    A label whose column is empty with its target met (a zero mass) has
+    settled, often with no margin left after losing its last entry.  The
+    labels joined by shared active rows form components, L is flat along
+    each component's indicator, and near the solution each component's
+    residual sum is zero but for rounding; divided by the tiny shift there,
+    that rounding would move whole components against the settled label,
+    wake it and stall the line search.  So while a label has settled, every
+    component whose residual sum is within the stopping test has its mean
+    residual taken out of r.
+
+    A step is halved until the dual still rises at its end, <r, step> >= 0,
+    a test on residuals that rounding of the dual value cannot upset.  All
+    problems take their steps together; each returns once every column sum
+    is within 1e-12 * m of its target.  Raises InfeasibleError when 100
+    steps do not get a problem there.
     """
     y = np.asarray(y, dtype=float)
-    m, nlab = y.shape
+    m, nlab = y.shape[-2:]
+    ys = y.reshape(-1, m, nlab)
     target = m * np.asarray(masses, dtype=float)
-    spread = float(np.ptp(y)) + 1.0
+    tol = 1e-12 * m
+    eye = np.eye(nlab)
+    spread = np.ptp(ys, axis=(1, 2)) + 1.0
+    out = np.empty_like(ys)
 
-    def at(mu):
-        x = project_rows_simplex(y - mu)
-        return x, x.sum(axis=0) - target
+    def at(live, mu):
+        x = project_rows_simplex(ys[live] - mu[:, None, :])
+        return x, x.sum(axis=1) - target
 
-    def feasible(resid):
-        return float(np.abs(resid).max()) <= 1e-12 * m
+    def accepted(resid, step):
+        rise = (resid[:, None, :] @ step[:, :, None])[:, 0, 0]
+        return (_row_max(np.abs(resid)) <= tol) | (rise >= 0.0)
 
-    mu = np.zeros(nlab)
-    x, resid = at(mu)
+    live = np.arange(len(ys))
+    mu = np.zeros((live.size, nlab))
+    x, resid = at(live, mu)
     for _ in range(100):
-        if feasible(resid):
-            return x
+        done = _row_max(np.abs(resid)) <= tol
+        if done.any():
+            out[live[done]] = x[done]
+            live, mu, x, resid = live[~done], mu[~done], x[~done], resid[~done]
+        if live.size == 0:
+            return out.reshape(y.shape)
         a = (x > 0.0).astype(float)
-        lap = np.diag(a.sum(axis=0)) - (a / a.sum(axis=1, keepdims=True)).T @ a
-        shift = float(np.abs(resid).max()) / spread
-        step = np.linalg.solve(lap + shift * np.eye(nlab), resid)
-        step -= step.mean()  # a constant shift of mu leaves every row unchanged
-        t = 1.0
-        for _ in range(60):
-            xt, rt = at(mu + t * step)
-            if feasible(rt) or float(rt @ step) >= 0.0:
+        count = a.sum(axis=1)
+        share = (a / a.sum(axis=2, keepdims=True)).swapaxes(1, 2) @ a
+        lap = count[:, :, None] * eye - share
+        rhs = resid
+        settled = np.any((count == 0.0) & (np.abs(resid) <= tol), axis=1)
+        if settled.any():
+            # reach[k, l]: a chain of shared active rows joins labels k and l
+            reach = (share > 0.0) | (eye > 0.0)
+            for _ in range(nlab.bit_length()):
+                reach = reach @ reach
+            flat = np.where(reach, resid[:, None, :], 0.0).sum(axis=2)
+            idle = settled[:, None] & (np.abs(flat) <= tol)
+            rhs = np.where(idle, resid - flat / reach.sum(axis=2), resid)
+        shift = _row_max(np.abs(resid)) / spread[live]
+        step = np.linalg.solve(lap + shift[:, None, None] * eye, rhs[..., None])[..., 0]
+        # a constant shift of mu leaves every row unchanged
+        step -= step.mean(axis=1, keepdims=True)
+        t = np.ones(live.size)
+        xt, rt = at(live, mu + step)
+        pending = ~accepted(rt, step)
+        for _ in range(59):
+            p = np.flatnonzero(pending)
+            if p.size == 0:
                 break
-            t *= 0.5
-        else:
+            t[p] *= 0.5
+            xt[p], rt[p] = at(live[p], mu[p] + t[p, None] * step[p])
+            pending[p] = ~accepted(rt[p], step[p])
+        if pending.any():
             break
-        mu = mu + t * step
+        mu = mu + t[:, None] * step
         x, resid = xt, rt
     raise InfeasibleError(
         "polytope projection did not reach the column means; check the masses"
@@ -341,53 +381,68 @@ def project_polytope(y, masses):
 def transport_lmo(g, caps):
     """Minimize <g, v> over {v >= 0 : rows sum to 1, column sums = caps}.
 
+    g is one m x N cost matrix or a stack (..., m, N) of them, each solved on
+    its own, and a problem of a stack comes out exactly as it would alone.
     Successive shortest paths (Ahuja, Magnanti and Orlin 1993, ch. 9): rows
     enter one at a time with one unit each.  Weight of a row j moves from
     label k to label l at cost g[j, l] - g[j, k] while v[j, k] > 0;
     Bellman-Ford over the labels, from the entering row's costs, finds the
     cheapest path to a label with capacity left, and the unit flows along it
-    as far as the path allows.  Every augmentation keeps the partial flow
-    optimal, so the result is exact for real capacities.  Ties go to the
-    lowest label and row; a path is only replaced by one cheaper by more
-    than 1e-14 times the cost scale.
+    as far as the path allows.  Each augmentation round runs Bellman-Ford
+    and the path walk for all problems still placing weight at once.  Every
+    augmentation keeps the partial flow optimal, so the result is exact for
+    real capacities.  Ties go to the lowest label and row; a path is only
+    replaced by one cheaper by more than 1e-14 times the cost scale.
     """
     g = np.asarray(g, dtype=float)
-    m, nlab = g.shape
-    rem = np.array(caps, dtype=float)
-    if abs(float(rem.sum()) - m) > 1e-12 * m:
+    m, nlab = g.shape[-2:]
+    gs = g.reshape(-1, m, nlab)
+    rem = np.array(np.broadcast_to(caps, g.shape[:-2] + (nlab,)), dtype=float)
+    rem = rem.reshape(-1, nlab)
+    if np.any(np.abs(rem.sum(axis=1) - m) > 1e-12 * m):
         raise InfeasibleError("capacities must sum to the row count")
-    v = np.zeros((m, nlab))
-    tol = 1e-14 * (1.0 + float(np.abs(g).max()))
-    moves = g[:, None, :] - g[:, :, None]  # [j, k, l]: row j from label k to l
+    v = np.zeros_like(gs)
+    tol = 1e-14 * (1.0 + np.abs(gs).max(axis=(1, 2)))
+    # moves[p, j, k, l]: in problem p, row j from label k to label l
+    moves = gs[:, :, None, :] - gs[:, :, :, None]
     for i in range(m):
-        left = 1.0
-        # a shortfall of the capacities by rounding stays unplaced
-        while left > 0.0 and np.any(rem > 0.0):
-            cost = np.where((v > 0.0)[:, :, None], moves, np.inf)
-            via, hop = cost.argmin(axis=0), cost.min(axis=0)
-            dist, prev = g[i].copy(), np.full(nlab, -1)
+        left = np.ones(len(gs))
+        while True:
+            # a shortfall of the capacities by rounding stays unplaced
+            p = np.flatnonzero((left > 0.0) & np.any(rem > 0.0, axis=1))
+            if p.size == 0:
+                break
+            cost = np.where((v[p] > 0.0)[..., None], moves[p], np.inf)
+            via, hop = cost.argmin(axis=1), cost.min(axis=1)
+            dist, prev = gs[p, i], np.full((p.size, nlab), -1)
             for _ in range(nlab - 1):
-                cand = dist[:, None] + hop
-                best = cand.min(axis=0)
-                better = best < dist - tol
+                cand = dist[:, :, None] + hop
+                best = cand.min(axis=1)
+                better = best < dist - tol[p, None]
                 if not better.any():
                     break
-                prev[better] = cand.argmin(axis=0)[better]
+                prev[better] = cand.argmin(axis=1)[better]
                 dist[better] = best[better]
-            sink = int(np.argmin(np.where(rem > 0.0, dist, np.inf)))
-            path, node = [], sink
+            sink = np.argmin(np.where(rem[p] > 0.0, dist, np.inf), axis=1)
+            amount = np.minimum(left[p], rem[p, sink])
+            node, hops = sink.copy(), []
             # a path has at most nlab - 1 hops, even if rounding closed a cycle
-            while prev[node] >= 0 and len(path) < nlab - 1:
-                path.append((int(via[prev[node], node]), int(prev[node]), node))
-                node = int(prev[node])
-            amount = min([left, rem[sink]] + [v[j, k] for j, k, _ in path])
-            v[i, node] += amount
-            for j, k, l in path:
-                v[j, k] -= amount
-                v[j, l] += amount
-            rem[sink] -= amount
-            left -= amount
-    return v
+            for _ in range(nlab - 1):
+                w = np.flatnonzero(prev[np.arange(p.size), node] >= 0)
+                if w.size == 0:
+                    break
+                k, l = prev[w, node[w]], node[w]
+                j = via[w, k, l]
+                hops.append((p[w], j, k, l, w))
+                amount[w] = np.minimum(amount[w], v[p[w], j, k])
+                node[w] = k
+            v[p, i, node] += amount
+            for q, j, k, l, w in hops:
+                v[q, j, k] -= amount[w]
+                v[q, j, l] += amount[w]
+            rem[p, sink] -= amount
+            left[p] -= amount
+    return v.reshape(g.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +488,7 @@ class _BoxMeanSet:
 class _TransportSet:
     """Other label counts: the iterate is the full m x N weight matrix.
 
-    Every method takes a stack (R, m, N) of iterates and treats its rows one
-    by one.
+    Every method takes a stack (R, m, N) of iterates, one problem per restart.
     """
 
     def __init__(self, masses, m):
@@ -449,10 +503,10 @@ class _TransportSet:
         return g
 
     def project(self, y):
-        return np.stack([project_polytope(row, self.masses) for row in y])
+        return project_polytope(y, self.masses)
 
     def lmo(self, g):
-        return np.stack([transport_lmo(row, self.m * self.masses) for row in g])
+        return transport_lmo(g, self.m * self.masses)
 
 
 def _rowwise(a, like):

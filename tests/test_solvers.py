@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -24,6 +24,7 @@ from graphlim.solvers import (
     minimize_limit_energy,
     project_box_mean,
     project_polytope,
+    project_rows_simplex,
     sharpen_plateau,
     swap_descent,
     transport_lmo,
@@ -387,7 +388,17 @@ def polytope_inputs(draw):
     return y, _random_masses(draw, nlab), scale
 
 
+# a zero-mass column loses its last active entry at Newton step 6; the
+# rounding left in the other columns' residual sum then drove long steps
+# that woke it again, and the line search stalled until the step cap
+_STALLED_SCALE = 6.152654101490373
+_STALLED_MASSES = np.array(
+    [0.44970414201183434, 0.4378698224852071, 0.11242603550295859, 0.0]
+)
+
+
 @given(polytope_inputs())
+@example((_STALLED_SCALE * philox(1).normal(size=(4, 4)), _STALLED_MASSES, _STALLED_SCALE))
 @settings(max_examples=300, deadline=None)
 def test_projection_polytope_properties(case):
     y, masses, scale = case
@@ -406,6 +417,32 @@ def test_projection_polytope_properties(case):
 def test_projection_polytope_rejects_unreachable_means():
     with pytest.raises(InfeasibleError):
         project_polytope(np.zeros((4, 3)), (0.5, 0.5, 0.5))
+
+
+@st.composite
+def polytope_stacks(draw):
+    rows = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 12))
+    nlab = draw(st.integers(2, 5))
+    scale = 10.0 ** draw(st.floats(-1.0, 1.0))
+    y = scale * philox(draw(st.integers(0, 10**6))).normal(size=(rows, m, nlab))
+    return y, _random_masses(draw, nlab)
+
+
+@given(polytope_stacks())
+@settings(max_examples=150, deadline=None)
+def test_projection_polytope_stack_matches_single_calls(case):
+    # every problem of a stack takes exactly the steps it takes alone
+    y, masses = case
+    stacked = project_polytope(y, masses)
+    assert stacked.shape == y.shape
+    for one, out in zip(y, stacked):
+        assert project_polytope(one, masses).tobytes() == out.tobytes()
+    rows = project_rows_simplex(y)
+    for one, out in zip(y, rows):
+        assert project_rows_simplex(one).tobytes() == out.tobytes()
+        for row, row_out in zip(one, out):
+            assert project_rows_simplex(row).tobytes() == row_out.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +495,37 @@ def test_transport_lmo_matches_linprog(case):
     assert np.abs(v.sum(axis=0) - caps).max() <= 1e-12
     reference = _linprog_transport(g, caps)
     assert abs(float(np.vdot(g, v)) - float(np.vdot(g, reference))) <= 1e-12 * scale
+
+
+@st.composite
+def transport_stacks(draw):
+    rows = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 12))
+    nlab = draw(st.integers(2, 5))
+    rng = philox(draw(st.integers(0, 10**6)))
+    scale = 10.0 ** draw(st.floats(-1.0, 1.0))
+    # few decimals make tied costs and tied paths common
+    g = np.round(scale * rng.normal(size=(rows, m, nlab)), draw(st.integers(0, 2)))
+    parts = draw(st.lists(st.integers(0, 12), min_size=nlab, max_size=nlab))
+    parts[0] += sum(parts) == 0
+    masses = np.asarray(parts) / sum(parts)
+    if draw(st.booleans()):
+        caps = rng.multinomial(m, masses).astype(float)
+    else:
+        caps = m * masses
+    return g, caps
+
+
+@given(transport_stacks())
+@settings(max_examples=150, deadline=None)
+def test_transport_lmo_stack_matches_single_calls(case):
+    g, caps = case
+    stacked = transport_lmo(g, caps)
+    assert stacked.shape == g.shape
+    for one, out in zip(g, stacked):
+        assert transport_lmo(one, caps).tobytes() == out.tobytes()
+    with pytest.raises(InfeasibleError):
+        transport_lmo(g, caps + 0.5)
 
 
 # ---------------------------------------------------------------------------
