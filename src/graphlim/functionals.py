@@ -39,6 +39,8 @@ def cell_averages(w, m: int) -> QuadratureKernel:
     Step graphons require their block boundaries to sit on the grid; analytic
     kernels integrate in closed form over every cell pair.
     """
+    if m < 1:
+        raise ParameterError(f"grid must have at least one cell, got {m}")
     if isinstance(w, QuadratureKernel):
         if w.m != m:
             raise ParameterError(f"kernel is on a {w.m}-cell grid, requested {m}")

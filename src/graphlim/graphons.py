@@ -246,6 +246,8 @@ class AnalyticGraphon:
 
     def step_on(self, m: int) -> StepGraphon:
         """Exact cell averages on the m-cell uniform grid as a step graphon."""
+        if m < 1:
+            raise ParameterError(f"grid must have at least one cell, got {m}")
         edges = np.arange(m + 1) / m
         lo, hi = edges[:-1, None], edges[1:, None]
         vals = self.rect_integral(lo, hi, lo.T, hi.T) * m * m
@@ -411,23 +413,42 @@ def _exact_cut_norm(widths, values, with_witness=True):
     lo = _pattern_chunk(0, 1 << h, h) @ contrib[m - h :]
     hi_sum = hi.sum(axis=1)
     lo_sum = lo.sum(axis=1)
+    # |.| is convex, so over the lo rows each |hi[a, j] + lo[b, j]| and
+    # |hi_sum[a] + lo_sum[b]| peaks at the lo column's max or min: bound[a]
+    # caps every score of hi row a
+    bound = np.maximum(np.abs(hi + lo.max(axis=0)), np.abs(hi + lo.min(axis=0))).sum(axis=1)
+    bound += np.maximum(np.abs(hi_sum + lo_sum.max()), np.abs(hi_sum + lo_sum.min()))
+    bound *= 0.5
+    # rows go in descending bound, equal bounds in ascending a; slack covers
+    # the rounding of a score and of its bound, below (m + 2) 2^-53 sum|contrib|
+    order = np.argsort(-bound, kind="stable")
+    slack = 1e-12 * float(np.abs(contrib).sum())
     ones = np.ones(m)
     rows = max(1, _CUT_NORM_BLOCK_ENTRIES // (lo.shape[0] * m))
     buf = np.empty((rows, lo.shape[0], m))
     best = -1.0
     best_p = 0
-    for a0 in range(0, hi.shape[0], rows):
-        a1 = min(a0 + rows, hi.shape[0])
-        cols = buf[: a1 - a0]
-        np.add(hi[a0:a1, None, :], lo[None, :, :], out=cols)
+    for i0 in range(0, hi.shape[0], rows):
+        # the first row left has the largest bound, and the smallest a among
+        # the rows left with that bound: stop when it can neither beat best
+        # nor tie it at a smaller pattern
+        first = int(order[i0])
+        floor = best - slack
+        if i0 and not (bound[first] > floor or (bound[first] == floor and first < best_p >> h)):
+            break
+        chunk = np.sort(order[i0 : i0 + rows])
+        cols = buf[: chunk.size]
+        np.add(hi[chunk, None, :], lo[None, :, :], out=cols)
         np.abs(cols, out=cols)
         vals = cols.reshape(-1, m) @ ones
-        vals += np.abs(hi_sum[a0:a1, None] + lo_sum[None, :]).ravel()
+        vals += np.abs(hi_sum[chunk, None] + lo_sum[None, :]).ravel()
         vals *= 0.5
         k = int(np.argmax(vals))
-        if vals[k] > best:
+        p = (int(chunk[k >> h]) << h) + (k & ((1 << h) - 1))
+        # the first maximal pattern in ascending p wins, as without pruning
+        if vals[k] > best or (vals[k] == best and p < best_p):
             best = float(vals[k])
-            best_p = (a0 << h) + k
+            best_p = p
     if not with_witness:
         return best, None, None
     s = _pattern_chunk(best_p, best_p + 1, m)[0]
@@ -462,13 +483,17 @@ def _alternating_climb(mat, t):
 def cut_norm(w: StepGraphon, mode="exact", restarts=32, seed=0) -> CutNormResult:
     """Cut norm sup_{S,T} |int_{S x T} W| of a step graphon.
 
-    Exact mode enumerates all 2^m block patterns for the first set; for each
-    pattern the optimal second set is the per-column clip, and both global
-    signs are taken, so the pattern scores (sum_j |c_j| + |sum_j c_j|) / 2
-    over its column sums c.  The enumeration is split in half: the column
+    Exact mode maximizes over the 2^m block patterns of the first set; for
+    each pattern the optimal second set is the per-column clip, and both
+    global signs are taken, so the pattern scores (sum_j |c_j| + |sum_j c_j|)
+    / 2 over its column sums c.  The enumeration is split in half: the column
     sums come from adding a table over the first half of the blocks to one
-    over the second half.  Ties are broken toward the lexicographically
-    smallest witness.  Heuristic mode runs alternating maximization from
+    over the second half.  Each row of the first table gets a bound from the
+    column-wise max and min of the second table (|.| is convex); rows are
+    scored in descending bound and skipped once no bound can reach the best
+    score less a rounding margin, so only the average case is faster.  Ties
+    are broken toward the lexicographically smallest witness, as if every
+    pattern were scored.  Heuristic mode runs alternating maximization from
     seeded random restarts and returns a lower bound.
     """
     if not isinstance(w, StepGraphon):

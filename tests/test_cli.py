@@ -372,6 +372,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     half = tmp_path / "half.json"
     fileio.write_graphon(half, ConstantKernel(0.5))
     assert main(["solve-limit", "--graphon", str(half), "--masses", "0.7,0.7"]) == 4
+    # usage: a grid without cells
+    for grid in ("0", "-2"):
+        assert main(["solve-limit", "--graphon", str(half), "--grid", grid]) == 2
     # odd n for bisection
     assert main(["converge", "--family", "halfgraph", "--n", "7", "--grid", "12"]) == 2
 

@@ -49,6 +49,15 @@ def test_cell_averages_step_alignment_error():
     assert k.matrix[0, 0] == 1.0 and k.matrix[0, 3] == 0.0
 
 
+@pytest.mark.parametrize("m", [0, -2])
+def test_grid_without_cells_rejected(m):
+    for w in (StepGraphon([1.0], [[0.5]]), HalfGraphKernel()):
+        with pytest.raises(ParameterError):
+            cell_averages(w, m)
+    with pytest.raises(ParameterError):
+        HalfGraphKernel().step_on(m)
+
+
 def test_cell_averages_halfgraph_exact():
     k = cell_averages(HalfGraphKernel(), 4)
     # cell pair ((0,.25),(0.5,.75)) straddles the band boundary: half covered

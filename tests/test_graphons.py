@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphlim import graphons
 from graphlim.errors import CapacityError, ParameterError
-from graphlim.families import complete, halfgraph
+from graphlim.families import bipartite, block_family, complete, halfgraph
 from graphlim.graphons import (
     BipartiteSplitKernel,
     BlockDiagonalKernel,
@@ -14,6 +15,8 @@ from graphlim.graphons import (
     Graph,
     HalfGraphKernel,
     StepGraphon,
+    _exact_cut_norm,
+    _pattern_chunk,
     cut_distance_blocks,
     cut_norm,
     cut_norm_forms,
@@ -346,6 +349,113 @@ def test_exact_cut_norm_matches_single_matmul_and_witness(seed, m, signed):
     assert res.value == pytest.approx(_exact_cut_norm_single_matmul(w), abs=1e-12)
     witness = (res.s * w.widths) @ w.values @ (res.t * w.widths)
     assert abs(witness) == pytest.approx(res.value, abs=1e-12)
+
+
+def _exact_cut_norm_unpruned(widths, values):
+    # reference: the split-in-half loop without the bound, every hi row in
+    # ascending order, the first maximal pattern winning
+    m = widths.size
+    contrib = values * widths[:, None] * widths[None, :]
+    h = m // 2
+    hi = _pattern_chunk(0, 1 << (m - h), m - h) @ contrib[: m - h]
+    lo = _pattern_chunk(0, 1 << h, h) @ contrib[m - h :]
+    hi_sum = hi.sum(axis=1)
+    lo_sum = lo.sum(axis=1)
+    ones = np.ones(m)
+    rows = max(1, graphons._CUT_NORM_BLOCK_ENTRIES // (lo.shape[0] * m))
+    buf = np.empty((rows, lo.shape[0], m))
+    best = -1.0
+    best_p = 0
+    for a0 in range(0, hi.shape[0], rows):
+        a1 = min(a0 + rows, hi.shape[0])
+        cols = buf[: a1 - a0]
+        np.add(hi[a0:a1, None, :], lo[None, :, :], out=cols)
+        np.abs(cols, out=cols)
+        vals = cols.reshape(-1, m) @ ones
+        vals += np.abs(hi_sum[a0:a1, None] + lo_sum[None, :]).ravel()
+        vals *= 0.5
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best = float(vals[k])
+            best_p = (a0 << h) + k
+    s = _pattern_chunk(best_p, best_p + 1, m)[0]
+    cols = s @ contrib
+    plus_val = float(np.maximum(cols, 0.0).sum())
+    minus_val = float(np.maximum(-cols, 0.0).sum())
+    t_plus = (cols > 0.0).astype(float)
+    t_minus = (cols < 0.0).astype(float)
+    if plus_val == minus_val:
+        t = t_plus if tuple(t_plus) <= tuple(t_minus) else t_minus
+    elif plus_val > minus_val:
+        t = t_plus
+    else:
+        t = t_minus
+    return best, s, t
+
+
+def _symmetric(upper):
+    return np.triu(upper) + np.triu(upper, 1).T
+
+
+def _cut_norm_case(kind, m, seed):
+    if kind in ("random", "signed"):
+        w = random_step_graphon(seed, m, signed=kind == "signed")
+        return w.widths, w.values
+    rng = philox(seed)
+    widths = np.full(m, 1.0 / m)
+    if kind == "ties":
+        return widths, _symmetric(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(m, m)))
+    if kind == "zero":
+        return widths, np.zeros((m, m))
+    # a signed permutation: many patterns score alike up to the noise, which
+    # moves scores and bounds by an ulp
+    perm = np.eye(m)[rng.permutation(m)]
+    signs = _symmetric(rng.choice([-1.0, 1.0], size=(m, m)))
+    noise = _symmetric(rng.choice([-1e-17, 0.0, 1e-17], size=(m, m)))
+    return widths, np.maximum(perm, perm.T) * signs + noise
+
+
+def _assert_same_cut_norm(widths, values):
+    value, s, t = _exact_cut_norm(widths, values)
+    ref_value, ref_s, ref_t = _exact_cut_norm_unpruned(widths, values)
+    assert value == ref_value
+    assert np.array_equal(s, ref_s)
+    assert np.array_equal(t, ref_t)
+
+
+@given(
+    st.sampled_from(["random", "signed", "ties", "zero", "permutation"]),
+    st.integers(1, 14),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+# inputs on which a zero rounding margin, or ties going to the larger
+# pattern, change the witness
+@example("permutation", 7, 7, True)
+@example("permutation", 7, 15, True)
+@example("permutation", 7, 20, True)
+@settings(max_examples=300, deadline=None)
+def test_pruned_cut_norm_equals_unpruned(kind, m, seed, row_chunks):
+    # below m = 12 every hi row fits in one chunk and nothing is pruned;
+    # row_chunks makes each hi row its own chunk, in both enumerations
+    with pytest.MonkeyPatch.context() as mp:
+        if row_chunks:
+            mp.setattr(graphons, "_CUT_NORM_BLOCK_ENTRIES", 1)
+        _assert_same_cut_norm(*_cut_norm_case(kind, m, seed))
+
+
+def test_pruned_cut_norm_equals_unpruned_on_converge_differences():
+    instances = [halfgraph(n) for n in range(6, 23, 2)]
+    for n in range(6, 23):
+        instances += [
+            complete(n),
+            block_family((0.45, 0.35, 0.2), n),
+            block_family((0.5, 0.5), n),
+            bipartite(0.5, n),
+        ]
+    for inst in instances:
+        diff = step_from_graph(inst.graph) - inst.limit.step_on(inst.graph.n)
+        _assert_same_cut_norm(diff.widths, diff.values)
 
 
 def test_cut_norm_l1_bound():
