@@ -7,6 +7,7 @@ success, 2 on usage errors, 3 when an exact routine is over its size cap,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -28,7 +29,7 @@ from .graphons import (
     step_from_graph,
     StepGraphon,
 )
-from .solvers import brute_bisection, local_search_partition, minimize_limit_energy
+from .solvers import METHODS, brute_bisection, local_search_partition, minimize_limit_energy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -98,9 +99,8 @@ def _cmd_gen(args):
     if args.family == "wrandom":
         if not args.kernel:
             raise ParameterError("gen --family wrandom requires --kernel")
-        source = fileio.read_graphon(args.kernel)
-        graph = families.w_random(source, args.n, args.seed)
-        limit = source
+        limit = fileio.read_graphon(args.kernel)
+        graph = families.w_random(limit, args.n, args.seed)
     else:
         if args.family == "complete":
             inst = families.complete(args.n)
@@ -181,24 +181,24 @@ def _cmd_homdensity(args):
     return EXIT_OK
 
 
+def _model_for(n_labels):
+    """The spin model for two labels, unit_cut(1..N) for N labels otherwise."""
+    if n_labels == 2:
+        return LabelModel.spin()
+    return LabelModel.unit_cut(tuple(float(k + 1) for k in range(n_labels)))
+
+
 def _cmd_solve_discrete(args):
     graph = fileio.read_graph(args.graph)
     if args.method == "brute":
         report = brute_bisection(graph)
     else:
-        sizes = _parse_ints(args.sizes) if args.sizes else None
-        if sizes is None:
-            spec = PartitionSpec.bisection()
-            model = LabelModel.spin()
-        else:
-            masses = tuple(s / graph.n for s in sizes)
-            spec = PartitionSpec(masses, sizes=sizes)
-            if len(sizes) == 2:
-                model = LabelModel.spin()
-            else:
-                model = LabelModel.unit_cut(tuple(float(k + 1) for k in range(len(sizes))))
+        spec = PartitionSpec.bisection()
+        if args.sizes:
+            sizes = _parse_ints(args.sizes)
+            spec = PartitionSpec(tuple(s / graph.n for s in sizes), sizes=sizes)
         report = local_search_partition(
-            graph, spec, model, seed=args.seed, restarts=args.restarts
+            graph, spec, _model_for(len(spec.masses)), seed=args.seed, restarts=args.restarts
         )
     _emit(args, report.to_dict())
     return EXIT_OK
@@ -207,13 +207,9 @@ def _cmd_solve_discrete(args):
 def _cmd_solve_limit(args):
     kernel = fileio.read_graphon(args.graphon)
     masses = _parse_floats(args.masses)
-    if len(masses) == 2:
-        model = LabelModel.spin()
-    else:
-        model = LabelModel.unit_cut(tuple(float(k + 1) for k in range(len(masses))))
     report = minimize_limit_energy(
         kernel,
-        model,
+        _model_for(len(masses)),
         masses,
         args.grid,
         method=args.method,
@@ -239,32 +235,27 @@ def _cmd_kkt(args):
 
 
 def _config_from_args(args):
-    base = {}
+    # flags and config-file keys name the ExperimentConfig fields, with "n" for ns
+    keys = {f.name: f.name for f in dataclasses.fields(ExperimentConfig)}
+    keys["n"] = keys.pop("ns")
+    merged = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 base = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ParameterError(f"config file line {exc.lineno}: {exc.msg}") from exc
-    merged = {
-        "family": args.family or base.get("family"),
-        "ns": _parse_ints(args.n) if args.n else tuple(base.get("n", ())),
-        "grid": args.grid if args.grid is not None else base.get("grid", 48),
-        "gamma": args.gamma if args.gamma is not None else base.get("gamma", 0.5),
-        "lambdas": (
-            _parse_floats(args.lambdas) if args.lambdas else tuple(base.get("lambdas", ()))
-        ),
-        "masses": (
-            _parse_floats(args.masses) if args.masses else tuple(base.get("masses", (0.5, 0.5)))
-        ),
-        "method": args.method or base.get("method", "pgd"),
-        "restarts": args.restarts if args.restarts is not None else base.get("restarts", 8),
-        "seed": args.seed if args.seed is not None else base.get("seed", 0),
-        "out": args.out or base.get("out"),
-    }
-    if merged["family"] is None:
+        # keys that are not fields are ignored
+        merged = {keys[k]: v for k, v in base.items() if k in keys}
+    # flags override the file; what neither gives takes the ExperimentConfig default
+    parse = {"n": _parse_ints, "lambdas": _parse_floats, "masses": _parse_floats}
+    for key, name in keys.items():
+        flag = getattr(args, key)
+        if flag not in (None, ""):
+            merged[name] = parse[key](flag) if key in parse else flag
+    if merged.get("family") is None:
         raise ParameterError("config field 'family': required")
-    if not merged["ns"]:
+    if not merged.get("ns"):
         raise ParameterError("config field 'n': required")
     return ExperimentConfig(**merged)
 
@@ -334,7 +325,7 @@ def build_parser():
     p.add_argument("--graphon", required=True)
     p.add_argument("--grid", type=int, default=48)
     p.add_argument("--masses", default="0.5,0.5")
-    p.add_argument("--method", choices=("pgd", "frank_wolfe"), default="pgd")
+    p.add_argument("--method", choices=METHODS, default="pgd")
     p.add_argument("--restarts", type=int, default=8)
     _common(p)
     p.set_defaults(func=_cmd_solve_limit)
@@ -352,7 +343,7 @@ def build_parser():
     p.add_argument("--gamma", type=float)
     p.add_argument("--lambdas")
     p.add_argument("--masses")
-    p.add_argument("--method", choices=("pgd", "frank_wolfe"))
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--restarts", type=int)
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--seed", type=int, default=None)

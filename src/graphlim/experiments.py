@@ -19,6 +19,7 @@ from .fileio import format_float, write_text
 from .graphons import EXACT_CUT_NORM_MAX_BLOCKS, cut_norm, step_from_graph
 from .solvers import (
     BRUTE_BISECTION_MAX_NODES,
+    METHODS,
     brute_bisection,
     local_search_partition,
     minimize_limit_energy,
@@ -63,8 +64,8 @@ class ExperimentConfig:
                 "config field 'masses': converge compares balanced bisections, "
                 f"so masses must be 0.5,0.5, got {self.masses}"
             )
-        if self.method not in ("pgd", "frank_wolfe"):
-            raise ParameterError("config field 'method': pgd or frank_wolfe")
+        if self.method not in METHODS:
+            raise ParameterError(f"config field 'method': {' or '.join(METHODS)}")
         if self.restarts < 1:
             raise ParameterError("config field 'restarts': must be >= 1")
         if self.family == "blocks" and not self.lambdas:

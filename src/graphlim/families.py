@@ -31,8 +31,12 @@ def complete(n: int) -> FamilyInstance:
     """Complete graph on n nodes; limit kernel is the constant 1."""
     if n < 1:
         raise ParameterError("complete graph needs n >= 1")
-    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return FamilyInstance(Graph.from_edges(n, edges), ConstantKernel(1.0))
+    return FamilyInstance(Graph(n, _upper_pairs(n, 1)), ConstantKernel(1.0))
+
+
+def _upper_pairs(size, k, first=1):
+    """Pairs (i, j) with j - i >= k among the nodes first .. first + size - 1."""
+    return np.stack(np.triu_indices(size, k), axis=1) + first
 
 
 def _block_bounds(lambdas, n):
@@ -49,15 +53,12 @@ def block_family(lambdas, n: int) -> FamilyInstance:
     """
     kernel = BlockDiagonalKernel(lambdas)  # validates the fractions
     bounds = _block_bounds(kernel.lambdas, n)
-    blocks = [list(range(bounds[k] + 1, bounds[k + 1] + 1)) for k in range(len(bounds) - 1)]
-    if any(not b for b in blocks):
+    if any(hi <= lo for lo, hi in zip(bounds, bounds[1:])):
         raise ParameterError(f"every block must be nonempty at n={n}")
-    edges = []
-    for block in blocks:
-        edges.extend((i, j) for i in block for j in block if i < j)
-    for k in range(len(blocks) - 1):
-        edges.append((blocks[k][-1], blocks[k + 1][0]))
-    return FamilyInstance(Graph.from_edges(n, edges), kernel)
+    cliques = [_upper_pairs(hi - lo, 1, lo + 1) for lo, hi in zip(bounds, bounds[1:])]
+    # the last node of every block but the final one joins the next node
+    bridges = np.asarray(bounds[1:-1], dtype=np.intp)[:, None] + [0, 1]
+    return FamilyInstance(Graph(n, np.concatenate([*cliques, bridges])), kernel)
 
 
 def block_node_sets(lambdas, n: int):
@@ -74,17 +75,15 @@ def bipartite(gamma: float, n: int) -> FamilyInstance:
     q = n - p
     if p < 1 or q < 1:
         raise ParameterError(f"both groups must be nonempty at n={n}, gamma={gamma}")
-    edges = [(i, j) for i in range(1, p + 1) for j in range(p + 1, n + 1)]
-    return FamilyInstance(Graph.from_edges(n, edges), kernel)
+    i, j = np.indices((p, q)).reshape(2, -1)
+    return FamilyInstance(Graph(n, np.stack([i + 1, j + p + 1], axis=1)), kernel)
 
 
 def halfgraph(n: int) -> FamilyInstance:
     """Half graph: node i <= n/2 joins node j > n/2 whenever i <= j - n/2."""
     if n < 2 or n % 2 != 0:
         raise ParameterError("half graph needs an even n >= 2")
-    half = n // 2
-    edges = [(i, j) for i in range(1, half + 1) for j in range(i + half, n + 1)]
-    return FamilyInstance(Graph.from_edges(n, edges), HalfGraphKernel())
+    return FamilyInstance(Graph(n, _upper_pairs(n, n // 2)), HalfGraphKernel())
 
 
 def checkerboard(n: int) -> StepGraphon:
@@ -112,7 +111,7 @@ def w_random(w, n: int, seed: int) -> Graph:
     draws = rng.random(n * (n - 1) // 2)
     i, j = np.triu_indices(n, 1)  # row-major, the order of the draws
     keep = draws < w.value(xs[i], xs[j])
-    return Graph(n, frozenset(zip((i[keep] + 1).tolist(), (j[keep] + 1).tolist())))
+    return Graph(n, np.stack([i[keep], j[keep]], axis=1) + 1)
 
 
 def sign_sin_field(n: int, m: int) -> np.ndarray:

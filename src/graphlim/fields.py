@@ -69,9 +69,6 @@ class LabelModel:
             raise ParameterError("plus_index is defined for spin models only")
         return self.index_of(1.0)
 
-    def zero_diagonal(self):
-        return bool(np.all(np.diag(self.coupling) == 0.0))
-
 
 @dataclass
 class ThetaField:

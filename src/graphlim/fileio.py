@@ -5,6 +5,7 @@ round-trips through parsing without precision loss.
 """
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -48,14 +49,19 @@ def write_text(path, text):
 
 
 def graph_to_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.edge_list()]}
+    return {"n": g.n, "edges": g.edges.tolist()}
 
 
 def graph_from_dict(data: dict) -> Graph:
     try:
-        return Graph.from_edges(int(data["n"]), data["edges"])
-    except (KeyError, TypeError) as exc:
+        n, entries = data["n"], data["edges"]
+        # numpy would read 1.5 as 1 and [true, 2] as integers: check the types
+        if type(n) is not int or set(map(type, itertools.chain.from_iterable(entries))) - {int}:
+            raise ValueError("the node count and node ids must be integers")
+        edges = np.asarray(entries, dtype=np.intp).reshape(len(entries), 2)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed graph file: {exc}") from exc
+    return Graph.from_edges(n, edges)
 
 
 def write_graph(path, g: Graph):

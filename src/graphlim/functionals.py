@@ -76,9 +76,9 @@ def discrete_cut_energy(g: Graph, u, model: LabelModel) -> float:
         raise ParameterError("labeling must cover every node")
     idx = np.asarray([model.index_of(v) for v in u])
     f = model.coupling
-    a, b = idx[g.edge_array() - 1].T
+    a, b = idx[g.edges - 1].T
     terms = f[a, b] + f[b, a]
-    # add the edge terms one by one from 0.0, in edge order, like a Python loop
+    # add the edge terms one by one from 0.0, in sorted edge order, like a Python loop
     total = np.cumsum(np.concatenate(([0.0], terms)))[-1]
     return total / (g.n * g.n)
 

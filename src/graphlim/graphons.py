@@ -18,6 +18,8 @@ from .errors import CapacityError, ParameterError
 EXACT_CUT_NORM_MAX_BLOCKS = 22
 CUT_NORM_FORMS_MAX_BLOCKS = 10
 CUT_DISTANCE_MAX_BLOCKS = 8
+# keeps the pair keys i * (n + 1) + j that sort a graph's edges inside int64
+GRAPH_MAX_NODES = 1 << 31
 # entries per block of summed column tables in the exact cut norm (256 KiB)
 _CUT_NORM_BLOCK_ENTRIES = 1 << 15
 
@@ -31,55 +33,62 @@ _GRID_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with 1-based nodes and no loops."""
+    """Simple undirected graph on nodes 1..n, a value object on (n, edges).
+
+    ``edges`` is its one stored form: a read-only (E, 2) ``np.intp`` array of
+    the pairs i < j, sorted and without repeats, whatever the input order.
+    """
 
     n: int
-    edges: frozenset
+    edges: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError("graph needs at least one node")
-        # one pass over the edge tuples, kept for every later edge_array() call
-        flat = itertools.chain.from_iterable(self.edges)
-        pairs = np.fromiter(flat, dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2)
-        pairs.flags.writeable = False
-        object.__setattr__(self, "_pairs", pairs)
+        if not 1 <= self.n <= GRAPH_MAX_NODES:
+            raise ParameterError(f"graph needs 1 to {GRAPH_MAX_NODES} nodes, got n={self.n}")
+        pairs = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
         i, j = pairs.T
         bad = np.flatnonzero((i < 1) | (i >= j) | (j > self.n))
         if bad.size:
-            e = next(itertools.islice(self.edges, int(bad[0]), None))
+            e = tuple(pairs[bad[0]].tolist())
             raise ParameterError(f"edge {e} out of range for n={self.n}")
+        # pair keys sort like the pairs; the stable sort is one pass on sorted input
+        keys = np.sort(i * (self.n + 1) + j, kind="stable")
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        edges = np.stack(np.divmod(keys, self.n + 1), axis=1)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, n, edges):
-        norm = set()
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ParameterError(f"loop edge ({i},{i}) not allowed")
-            norm.add((min(i, j), max(i, j)))
-        return cls(n, frozenset(norm))
+        """Graph of pairs in either orientation; loops are rejected, repeats dropped."""
+        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        if loops.size:
+            i = int(pairs[loops[0], 0])
+            raise ParameterError(f"loop edge ({i},{i}) not allowed")
+        return cls(n, np.sort(pairs, axis=1))
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edges, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges.tobytes()))
 
     @property
     def edge_count(self):
         return len(self.edges)
 
     def edge_list(self):
-        return sorted(self.edges)
-
-    def edge_array(self):
-        """Read-only (E, 2) integer array of the edges, in the order of ``edges``."""
-        return self._pairs
+        return list(map(tuple, self.edges.tolist()))
 
     def adjacency(self):
         a = np.zeros((self.n, self.n), dtype=bool)
-        i, j = (self.edge_array() - 1).T
+        i, j = (self.edges - 1).T
         a[i, j] = True
         a[j, i] = True
         return a
-
-    def has_edge(self, i, j):
-        return (min(i, j), max(i, j)) in self.edges
 
 
 def motif_edge():
@@ -429,12 +438,9 @@ def _exact_cut_norm(widths, values, with_witness=True):
     best = -1.0
     best_p = 0
     for i0 in range(0, hi.shape[0], rows):
-        # the first row left has the largest bound, and the smallest a among
-        # the rows left with that bound: stop when it can neither beat best
-        # nor tie it at a smaller pattern
-        first = int(order[i0])
-        floor = best - slack
-        if i0 and not (bound[first] > floor or (bound[first] == floor and first < best_p >> h)):
+        # the first row left has the largest bound: stop when even that bound,
+        # less the rounding margin, cannot reach best
+        if i0 and bound[order[i0]] <= best - slack:
             break
         chunk = np.sort(order[i0 : i0 + rows])
         cols = buf[: chunk.size]
@@ -694,11 +700,8 @@ def _hom_sum(motif: Graph, values, weights):
     prod over edges ij of values[phi(i), phi(j)] times prod over vertices v
     of weights[phi(v)], as one einsum contraction."""
     letters = "abcde"[: motif.n]
-    subs = [letters[i - 1] + letters[j - 1] for i, j in motif.edge_list()]
-    operands = [values] * len(subs)
-    for v in letters:
-        subs.append(v)
-        operands.append(weights)
+    subs = [letters[i - 1] + letters[j - 1] for i, j in motif.edges] + list(letters)
+    operands = [values] * motif.edge_count + [weights] * motif.n
     return np.einsum(",".join(subs) + "->", *operands, optimize=True)
 
 

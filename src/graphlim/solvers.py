@@ -24,6 +24,7 @@ from .functionals import (
 from .graphons import Graph, HalfGraphKernel, _pattern_chunk
 
 BRUTE_BISECTION_MAX_NODES = 28
+METHODS = ("pgd", "frank_wolfe")  # continuum solver methods
 VERTEX_ENUM_MAX_BLOCKS = 20
 # entries per block of paired half patterns in brute_bisection (8 MiB)
 _BISECTION_BLOCK_ENTRIES = 1 << 20
@@ -616,7 +617,7 @@ def minimize_limit_energy(
         raise InfeasibleError("mass vector length must match the label count")
     if np.any(masses < -_TIE_TOL) or abs(float(masses.sum()) - 1.0) > 1e-12:
         raise InfeasibleError("masses must be a probability vector")
-    if method not in ("pgd", "frank_wolfe"):
+    if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}")
     if restarts < 1:
         raise ParameterError("need at least one restart")

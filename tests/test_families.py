@@ -141,8 +141,8 @@ def test_w_random_deterministic_per_seed():
     a = w_random(ConstantKernel(0.4), 40, seed=11)
     b = w_random(ConstantKernel(0.4), 40, seed=11)
     c = w_random(ConstantKernel(0.4), 40, seed=12)
-    assert a.edges == b.edges
-    assert a.edges != c.edges
+    assert a == b
+    assert a != c
 
 
 def test_w_random_rejects_signed_kernel():
@@ -180,7 +180,7 @@ def _w_random_pair_loop(w, n, seed):
 def test_w_random_matches_pair_loop(kernel):
     cases = [(n, seed) for n in (1, 2, 3, 16, 61) for seed in (0, 1, 2)] + [(300, 5)]
     for n, seed in cases:
-        assert w_random(kernel, n, seed).edges == _w_random_pair_loop(kernel, n, seed).edges
+        assert w_random(kernel, n, seed) == _w_random_pair_loop(kernel, n, seed)
 
 
 # ---------------------------------------------------------------------------

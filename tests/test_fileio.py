@@ -33,7 +33,7 @@ def test_graph_round_trip(tmp_path):
     path = tmp_path / "g.json"
     fileio.write_graph(path, g)
     back = fileio.read_graph(path)
-    assert back.n == g.n and back.edges == g.edges
+    assert back == g
 
 
 def test_graph_file_is_valid_json_with_one_based_edges(tmp_path):
@@ -87,6 +87,24 @@ def test_malformed_graph_file_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"edges": [[1, 2]]}')  # missing node count
     with pytest.raises(ParameterError):
+        fileio.read_graph(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3, "edges": [[1.5, 3]]}',
+        '{"n": 3, "edges": [[true, 2]]}',
+        '{"n": 3, "edges": [[1, 2, 3]]}',
+        '{"n": 3, "edges": [[1]]}',
+        '{"n": 3.5, "edges": [[1, 2]]}',
+        '{"n": true, "edges": []}',
+    ],
+)
+def test_graph_file_needs_integer_count_and_id_pairs(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match="malformed graph file"):
         fileio.read_graph(path)
 
 

@@ -63,14 +63,46 @@ def test_graph_rejects_loops_and_out_of_range():
 
 def test_graph_names_first_bad_edge():
     with pytest.raises(ParameterError, match=r"edge \(1, 4\) out of range for n=3"):
-        Graph(3, frozenset({(1, 2), (1, 4)}))
+        Graph(3, [(1, 2), (1, 4)])
     with pytest.raises(ParameterError, match=r"edge \(3, 2\) out of range for n=3"):
-        Graph(3, frozenset({(1, 2), (3, 2)}))
-    # several bad edges: the first in the iteration order of the edge set
-    edges = frozenset({(0, 1), (2, 1), (1, 2), (3, 5), (2, 3)})
-    first = next(e for e in edges if not 1 <= e[0] < e[1] <= 3)
-    with pytest.raises(ParameterError, match=rf"edge \({first[0]}, {first[1]}\) "):
-        Graph(3, edges)
+        Graph(3, [(1, 2), (3, 2)])
+    # several bad edges: the first in input order
+    with pytest.raises(ParameterError, match=r"edge \(3, 5\) out of range for n=3"):
+        Graph(3, [(1, 2), (2, 3), (3, 5), (0, 1), (2, 1)])
+
+
+@st.composite
+def _pair_lists(draw):
+    n = draw(st.integers(2, 30))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n - 1)).map(
+        lambda t: (t[0], (t[0] + t[1] - 1) % n + 1)  # never a loop, either orientation
+    )
+    return n, draw(st.lists(pair, max_size=80))
+
+
+@given(_pair_lists())
+@settings(max_examples=200, deadline=None)
+def test_from_edges_matches_sorted_pair_set(case):
+    n, pairs = case
+    reference = sorted({(min(a, b), max(a, b)) for a, b in pairs})
+    g = Graph.from_edges(n, pairs)
+    assert g.edge_list() == reference
+    assert g.edges.dtype == np.intp and g.edges.shape == (len(reference), 2)
+    assert not g.edges.flags.writeable
+    flipped = Graph.from_edges(n, [(b, a) for a, b in reversed(pairs)] + pairs[:3])
+    assert g == flipped and hash(g) == hash(flipped)
+    assert g == Graph(n, reference) and g != Graph(n + 1, reference)
+    if reference:
+        assert g != Graph(n, reference[1:])
+
+
+def test_graph_node_count_bounds():
+    big = graphons.GRAPH_MAX_NODES
+    g = Graph.from_edges(big, [(big, big - 1), (1, big)])
+    assert g.edge_list() == [(1, big), (big - 1, big)]
+    for n in (0, big + 1):
+        with pytest.raises(ParameterError, match=f"graph needs 1 to {big} nodes"):
+            Graph(n, [])
 
 
 def test_from_graph_k2():
