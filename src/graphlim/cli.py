@@ -245,6 +245,8 @@ def _config_from_args(args):
                 base = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ParameterError(f"config file line {exc.lineno}: {exc.msg}") from exc
+        if not isinstance(base, dict):
+            raise ParameterError(f"config file {args.config}: expected a JSON object")
         # keys that are not fields are ignored
         merged = {keys[k]: v for k, v in base.items() if k in keys}
     # flags override the file; what neither gives takes the ExperimentConfig default

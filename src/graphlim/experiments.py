@@ -7,6 +7,7 @@ are recorded as one CSV row.
 """
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +30,18 @@ CSV_HEADER = "n,F_n,F_exact_flag,J_star,gap,cutnorm,cutnorm_exact_flag,seconds"
 
 FAMILY_IDS = ("complete", "blocks", "bipartite", "halfgraph")
 
+# the numeric fields, checked before any conversion so that a config file's
+# 8.7 or true is not read as 8 or 1: (config key, attribute, type, list-valued)
+_NUMERIC_FIELDS = (
+    ("n", "ns", numbers.Integral, True),
+    ("grid", "grid", numbers.Integral, False),
+    ("gamma", "gamma", numbers.Real, False),
+    ("lambdas", "lambdas", numbers.Real, True),
+    ("masses", "masses", numbers.Real, True),
+    ("restarts", "restarts", numbers.Integral, False),
+    ("seed", "seed", numbers.Integral, False),
+)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -44,6 +57,17 @@ class ExperimentConfig:
     out: str = None
 
     def __post_init__(self):
+        for key, attr, kind, listed in _NUMERIC_FIELDS:
+            value = getattr(self, attr)
+            items = value if listed else (value,)
+            if not isinstance(items, (list, tuple)) or not all(
+                isinstance(v, kind) and not isinstance(v, bool) for v in items
+            ):
+                noun = "integer" if kind is numbers.Integral else "number"
+                expected = f"a list of {noun}s" if listed else f"a single {noun}"
+                raise ParameterError(f"config field {key!r}: expected {expected}, got {value!r}")
+        if not isinstance(self.out, (str, os.PathLike, type(None))):
+            raise ParameterError(f"config field 'out': expected a path, got {self.out!r}")
         object.__setattr__(self, "ns", tuple(int(v) for v in self.ns))
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         object.__setattr__(self, "masses", tuple(float(v) for v in self.masses))

@@ -125,10 +125,7 @@ def theta_from_labels(u, model: LabelModel) -> ThetaField:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise ParameterError("labeling must be a nonempty 1-d sequence")
-    weights = np.zeros((u.size, model.n_labels))
-    for i, v in enumerate(u):
-        weights[i, model.index_of(v)] = 1.0
-    return ThetaField(weights)
+    return ThetaField(np.eye(model.n_labels)[[model.index_of(v) for v in u]])
 
 
 @dataclass(frozen=True)
@@ -186,18 +183,12 @@ def recovery_sequence(theta: ThetaField, n: int) -> ThetaField:
     if n % m != 0:
         raise ParameterError(f"n={n} must be a multiple of the cell count m={m}")
     span = n // m
-    nlab = theta.n_labels
-    out = np.zeros((n, nlab))
-    for i in range(m):
-        row = theta.weights[i]
+    labels = np.empty(n, dtype=np.intp)
+    for i, row in enumerate(theta.weights):
         q, counts = _rational_row(row, span)
-        cum = np.cumsum(counts)
-        for local in range(span):
-            j_global = i * span + local + 1
-            r = (j_global - 1) % q + 1
-            k = int(np.searchsorted(cum, r, side="left"))
-            out[j_global - 1, k] = 1.0
-    return ThetaField(out)
+        cells = np.arange(i * span, (i + 1) * span)
+        labels[cells] = np.searchsorted(np.cumsum(counts), cells % q + 1, side="left")
+    return ThetaField(np.eye(theta.n_labels)[labels])
 
 
 def _rational_row(row, span):
@@ -231,22 +222,13 @@ def repair_mass(theta: ThetaField, spec: PartitionSpec) -> ThetaField:
     counts = np.bincount(idx, minlength=nlab)
     if np.array_equal(counts, targets):
         return theta
-    donors = []
-    for k in range(nlab):
-        surplus = int(counts[k]) - targets[k]
-        if surplus > 0:
-            donors.extend(sorted(np.nonzero(idx == k)[0])[:surplus])
-    donors.sort()
+    surplus = counts - np.asarray(targets)
+    # the donors are the first surplus cells of each over-full label, in cell order
+    seen = np.cumsum(np.eye(nlab, dtype=np.intp)[idx], axis=0)[np.arange(m), idx]
+    donors = np.flatnonzero(seen <= surplus[idx])
     new_idx = idx.copy()
-    pos = 0
-    for k in range(nlab):
-        deficit = targets[k] - int(counts[k])
-        for _ in range(max(0, deficit)):
-            new_idx[donors[pos]] = k
-            pos += 1
-    out = np.zeros((m, nlab))
-    out[np.arange(m), new_idx] = 1.0
-    return ThetaField(out)
+    new_idx[donors] = np.repeat(np.arange(nlab), np.maximum(-surplus, 0))
+    return ThetaField(np.eye(nlab)[new_idx])
 
 
 def window_average(values, width: float):

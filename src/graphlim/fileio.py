@@ -33,6 +33,8 @@ def _render(obj) -> str:
     if isinstance(obj, dict):
         inner = ", ".join(f"{json.dumps(k)}: {_render(v)}" for k, v in obj.items())
         return "{" + inner + "}"
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu":
+        return json.dumps(obj.tolist())  # one C-level pass; ints need no float format
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_render(v) for v in obj) + "]"
     raise ParameterError(f"cannot serialize {type(obj).__name__}")
@@ -49,7 +51,7 @@ def write_text(path, text):
 
 
 def graph_to_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": g.edges.tolist()}
+    return {"n": g.n, "edges": g.edges}
 
 
 def graph_from_dict(data: dict) -> Graph:
@@ -85,12 +87,31 @@ def graphon_to_dict(w) -> dict:
     raise ParameterError(f"cannot serialize kernel of type {type(w).__name__}")
 
 
+def _json_numbers(values) -> bool:
+    # json reads true and false as bool, which float() and numpy take as 1 and 0
+    return set(map(type, values)) <= {int, float}
+
+
 def graphon_from_dict(data: dict):
+    if not isinstance(data, dict):
+        raise ParameterError("malformed graphon file: expected a JSON object")
     kind = data.get("type")
-    if kind == "step":
-        return StepGraphon(np.asarray(data["widths"]), np.asarray(data["values"]))
-    if kind == "analytic":
-        return analytic_from_kind(data["kind"], data.get("params", {}))
+    try:
+        if kind == "step":
+            widths, values = data["widths"], data["values"]
+            if not _json_numbers(itertools.chain(widths, *values)):
+                raise TypeError("widths and values must be JSON numbers")
+            return StepGraphon(np.asarray(widths), np.asarray(values))
+        if kind == "analytic":
+            name, params = data["kind"], data.get("params", {})
+            lists = (v if type(v) is list else [v] for v in params.values())
+            if not _json_numbers(itertools.chain.from_iterable(lists)):
+                raise TypeError("params must be JSON numbers or lists of them")
+            if name == "checkerboard" and type(params.get("n")) is not int:
+                raise TypeError("checkerboard n must be an integer")
+            return analytic_from_kind(name, params)
+    except (AttributeError, KeyError, TypeError) as exc:  # a missing key or param, params not an object
+        raise ParameterError(f"malformed graphon file: {exc}") from exc
     raise ParameterError(f"unknown graphon file type {kind!r}")
 
 

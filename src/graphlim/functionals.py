@@ -69,6 +69,17 @@ def _weights_of(theta, stacked=False):
     return arr
 
 
+def _plus_weights(theta, model, caller):
+    """Plus-label weights of a two-label field under a spin model (the default)."""
+    model = model or LabelModel.spin()
+    if not model.is_spin:
+        raise ParameterError(f"{caller} is defined for the spin model")
+    weights = _weights_of(theta)
+    if weights.shape[1] != 2:
+        raise ParameterError(f"{caller} needs a two-label field, got {weights.shape[1]} labels")
+    return weights[:, model.plus_index]
+
+
 def discrete_cut_energy(g: Graph, u, model: LabelModel) -> float:
     """(1/n^2) sum over ordered pairs of A_ij f(u_i, u_j)."""
     u = np.asarray(u, dtype=float)
@@ -117,12 +128,8 @@ def spin_energy_gradient(w, theta, model: LabelModel = None) -> np.ndarray:
     which reduces to (8/m^2) sum_b Wbar_ab (1 - 2 theta(b)); it vanishes at
     the half-constant field.
     """
-    model = model or LabelModel.spin()
-    if not model.is_spin:
-        raise ParameterError("spin_energy_gradient is defined for the spin model")
-    weights = _weights_of(theta)
-    m = weights.shape[0]
-    x = weights[:, model.plus_index]
+    x = _plus_weights(theta, model, "spin_energy_gradient")
+    m = x.size
     kernel = cell_averages(w, m)
     return (8.0 / (m * m)) * (kernel.matrix @ (1.0 - 2.0 * x))
 
@@ -143,12 +150,8 @@ def kkt_residual(w, theta, model: LabelModel = None, interior_tol=1e-9) -> KKTRe
     The multiplier is the mean of phi over cells with theta strictly inside
     (tol, 1 - tol); the residual is the max deviation of phi from it there.
     """
-    model = model or LabelModel.spin()
-    if not model.is_spin:
-        raise ParameterError("kkt_residual is defined for the spin model")
-    weights = _weights_of(theta)
-    m = weights.shape[0]
-    x = weights[:, model.plus_index]
+    x = _plus_weights(theta, model, "kkt_residual")
+    m = x.size
     kernel = cell_averages(w, m)
     phi = kernel.matrix @ (1.0 - 2.0 * x) / m
     interior = (x > interior_tol) & (x < 1.0 - interior_tol)
@@ -172,18 +175,14 @@ def block_reduce(lambdas, theta, model: LabelModel = None) -> BlockReduction:
     The grid must refine the block partition; the returned energy equals the
     continuum energy of the same field on the block kernel.
     """
-    model = model or LabelModel.spin()
-    if not model.is_spin:
-        raise ParameterError("block_reduce is defined for the spin model")
+    x = _plus_weights(theta, model, "block_reduce")
     lams = np.asarray(lambdas, dtype=float)
-    weights = _weights_of(theta)
-    m = weights.shape[0]
+    m = x.size
     bounds = np.concatenate(([0.0], np.cumsum(lams)))
     scaled = bounds * m
     if np.any(np.abs(scaled - np.round(scaled)) > _GRID_TOL):
         raise ParameterError("grid does not refine the block partition")
     edges = np.round(scaled).astype(int)
-    x = weights[:, model.plus_index]
     masses = np.asarray(
         [x[edges[k] : edges[k + 1]].sum() / m for k in range(lams.size)]
     )
@@ -193,12 +192,10 @@ def block_reduce(lambdas, theta, model: LabelModel = None) -> BlockReduction:
 
 def halfgraph_profiles(theta, model: LabelModel = None):
     """Cumulative plus-mass paths of the two halves of a spin field."""
-    model = model or LabelModel.spin()
-    weights = _weights_of(theta)
-    m = weights.shape[0]
+    x = _plus_weights(theta, model, "halfgraph_profiles")
+    m = x.size
     if m % 2 != 0:
         raise ParameterError("profiles need an even cell count")
-    x = weights[:, model.plus_index]
     step = 1.0 / m
     w1 = np.concatenate(([0.0], np.cumsum(x[: m // 2]) * step))
     w2 = np.concatenate(([0.0], np.cumsum(x[m // 2 :]) * step))

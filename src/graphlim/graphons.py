@@ -369,18 +369,22 @@ class CheckerboardKernel(StepKernel):
 
 
 _ANALYTIC_KINDS = {
-    "constant": lambda p: ConstantKernel(p["c"]),
-    "halfgraph": lambda p: HalfGraphKernel(),
-    "blockfamily": lambda p: BlockDiagonalKernel(p["lambdas"]),
-    "bipartite": lambda p: BipartiteSplitKernel(p["gamma"]),
-    "checkerboard": lambda p: CheckerboardKernel(p["n"]),
+    cls.kind: cls
+    for cls in (
+        ConstantKernel,
+        HalfGraphKernel,
+        BlockDiagonalKernel,
+        BipartiteSplitKernel,
+        CheckerboardKernel,
+    )
 }
 
 
 def analytic_from_kind(kind: str, params: dict) -> AnalyticGraphon:
+    """The kernel of a kind, built from its params as keyword arguments."""
     if kind not in _ANALYTIC_KINDS:
         raise ParameterError(f"unknown analytic kernel kind {kind!r}")
-    return _ANALYTIC_KINDS[kind](params)
+    return _ANALYTIC_KINDS[kind](**params)
 
 
 def degree(w, x) -> float:

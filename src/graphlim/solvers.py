@@ -15,6 +15,7 @@ import numpy as np
 from .errors import CapacityError, InfeasibleError, ParameterError
 from .fields import LabelModel, PartitionSpec, ThetaField
 from .functionals import (
+    _plus_weights,
     cell_averages,
     discrete_cut_energy,
     kkt_residual,
@@ -682,41 +683,37 @@ def block_vertex_minimum(lambdas, mass=0.5) -> BlockVertexResult:
         raise ParameterError("block fractions must be strictly positive")
     if not -_TIE_TOL <= mass <= float(lams.sum()) + _TIE_TOL:
         raise InfeasibleError("mass must lie between 0 and the total block mass")
-    candidates = []
-
-    def subset_sums(indices):
-        sums = np.zeros(1)
-        for i in indices:
-            sums = np.concatenate((sums, sums + lams[i]))
-        return sums
-
-    all_sums = subset_sums(range(nlab))
-    hits = np.nonzero(np.abs(all_sums - mass) <= _TIE_TOL)[0]
-    for code in hits:
-        vec = lams * ((code >> np.arange(nlab)) & 1)
-        candidates.append((0.0, vec))
-    for j in range(nlab):
-        others = [i for i in range(nlab) if i != j]
-        sums = subset_sums(others)
-        rem = mass - sums
-        ok = np.nonzero((rem > _TIE_TOL) & (rem < lams[j] - _TIE_TOL))[0]
-        for code in ok:
-            vec = np.zeros(nlab)
-            bits = (code >> np.arange(len(others))) & 1
-            for pos, i in enumerate(others):
-                if bits[pos]:
-                    vec[i] = lams[i]
-            vec[j] = rem[code]
-            candidates.append((float(rem[code] * (lams[j] - rem[code])), vec))
-    if not candidates:
+    # subset sums by doubling: bit k of a code is block k, and the entry of a
+    # code without bit j is the sum over the other blocks in the same order
+    sums = np.zeros(1)
+    for lam in lams:
+        sums = np.concatenate((sums, sums + lam))
+    rem = mass - sums
+    codes = np.arange(sums.size)
+    # candidates: the exact vertices (block -1), then those fractional in block j
+    picked = [np.nonzero(np.abs(rem) <= _TIE_TOL)[0]]
+    blocks = [np.full(picked[0].size, -1)]
+    scores = [np.zeros(picked[0].size)]
+    for j, lam in enumerate(lams):
+        ok = np.nonzero(((codes >> j) & 1 == 0) & (rem > _TIE_TOL) & (rem < lam - _TIE_TOL))[0]
+        picked.append(ok)
+        blocks.append(np.full(ok.size, j))
+        scores.append(rem[ok] * (lam - rem[ok]))
+    picked, blocks, scores = map(np.concatenate, (picked, blocks, scores))
+    if not picked.size:
         raise InfeasibleError("no vertex satisfies the mass constraint")
-    best_g = min(c[0] for c in candidates)
-    argmins = {}
-    for g_val, vec in candidates:
-        if g_val <= best_g + _TIE_TOL:
-            argmins[tuple(np.round(vec, 12))] = vec
-    ordered = tuple(argmins[k] for k in sorted(argmins))
-    return BlockVertexResult(8.0 * best_g, ordered)
+    best_g = float(scores.min())
+    at_min = scores <= best_g + _TIE_TOL
+    picked, blocks = picked[at_min], blocks[at_min]
+    vecs = np.where((picked[:, None] >> np.arange(nlab)) & 1, lams, 0.0)
+    frac = np.nonzero(blocks >= 0)[0]
+    vecs[frac, blocks[frac]] = rem[picked[frac]]
+    # one minimizer per rounded vector, the last candidate of each, in key order
+    keys = np.round(vecs, 12)
+    order = np.lexsort((np.arange(len(keys)), *keys.T[::-1]))  # ties in candidate order
+    keys = keys[order]
+    last = np.append(np.any(keys[1:] != keys[:-1], axis=1), True)
+    return BlockVertexResult(8.0 * best_g, tuple(vecs[order[last]]))
 
 
 # ---------------------------------------------------------------------------
@@ -727,20 +724,6 @@ def block_vertex_minimum(lambdas, mass=0.5) -> BlockVertexResult:
 class PlateauResult:
     field: ThetaField
     changed: bool
-
-
-def _runs(mask):
-    runs = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        if not flag and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask)))
-    return runs
 
 
 def sharpen_plateau(
@@ -755,14 +738,10 @@ def sharpen_plateau(
     kept.  Fields without a plateau are returned unchanged with a flag.
     """
     model = model or LabelModel.spin()
-    if not model.is_spin:
-        raise ParameterError("sharpen_plateau is defined for the spin model")
-    weights = theta.weights
+    x = _plus_weights(theta, model, "sharpen_plateau")
     m = theta.m
     if m % 2 != 0:
         raise ParameterError("half-graph fields need an even cell count")
-    plus = model.plus_index
-    x = weights[:, plus].copy()
     mask = np.abs(x - 0.5) <= plateau_tol
     if not np.any(mask):
         return PlateauResult(theta, False)
@@ -771,13 +750,15 @@ def sharpen_plateau(
         raise ParameterError(
             "plateau must occupy mirrored runs in the two halves of the grid"
         )
-    runs = _runs(mask[half:])
-    if any((b - a) % 3 != 0 for a, b in runs):
+    # (start, end) of each run: where the mask, padded with False, steps up and down
+    runs = np.flatnonzero(np.diff(np.pad(mask[half:], 1).astype(int))).reshape(-1, 2)
+    if np.any((runs[:, 1] - runs[:, 0]) % 3):
         x = np.repeat(x, 3)
         m *= 3
         half *= 3
-        runs = [(3 * a, 3 * b) for a, b in runs]
+        runs *= 3
     kernel_q = cell_averages(HalfGraphKernel(), m)
+    plus = model.plus_index
 
     def spin_weights(x):
         out = np.empty((m, 2))
@@ -786,8 +767,7 @@ def sharpen_plateau(
         return out
 
     for a, b in runs:
-        length = b - a
-        cut = length // 3
+        cut = (b - a) // 3
         filled = x.copy()
         # mirror run: first third -> 0, rest -> 1; run: first two thirds -> 0
         filled[a : a + cut] = 0.0
@@ -795,10 +775,8 @@ def sharpen_plateau(
         filled[half + a : half + a + 2 * cut] = 0.0
         filled[half + a + 2 * cut : half + b] = 1.0
         flipped = x.copy()
-        flipped[a : a + cut] = 1.0
-        flipped[a + cut : b] = 0.0
-        flipped[half + a : half + a + 2 * cut] = 1.0
-        flipped[half + a + 2 * cut : half + b] = 0.0
+        both = np.r_[a:b, half + a : half + b]
+        flipped[both] = 1.0 - filled[both]
         e_filled = limit_cut_energy(kernel_q, spin_weights(filled), model)
         e_flipped = limit_cut_energy(kernel_q, spin_weights(flipped), model)
         x = filled if e_filled <= e_flipped else flipped

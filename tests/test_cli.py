@@ -106,6 +106,56 @@ def test_solve_limit_and_kkt_cli(tmp_path, capsys):
     assert "residual" in kkt and "phi" in kkt
 
 
+def test_kkt_rejects_three_label_theta(tmp_path, capsys):
+    from graphlim.fields import ThetaField
+    from graphlim.graphons import HalfGraphKernel
+
+    kpath, tpath = tmp_path / "half.json", tmp_path / "theta.csv"
+    fileio.write_graphon(kpath, HalfGraphKernel())
+    fileio.write_theta(tpath, ThetaField(np.tile([0.5, 0.25, 0.25], (4, 1))))
+    code, _, err = run(capsys, "kkt", "--graphon", str(kpath), "--theta", str(tpath))
+    assert code == 2 and "two-label" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"type": "analytic", "kind": "constant", "params": {}}',
+        '{"type": "analytic", "kind": "halfgraph", "params": {"c": 0.5}}',
+        '{"type": "analytic", "kind": "checkerboard", "params": {"n": 2.7}}',
+        '{"type": "analytic", "kind": "bipartite", "params": {"gamma": "0.5"}}',
+        '{"type": "analytic", "kind": "blockfamily", "params": {"lambdas": [true, 0.5]}}',
+        '{"type": "step", "widths": [1.0]}',
+        '{"type": "step", "widths": [true], "values": [[0.5]]}',
+        '[{"type": "analytic", "kind": "halfgraph", "params": {}}]',
+    ],
+)
+def test_malformed_graphon_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "solve-limit", "--graphon", str(path), "--grid", "4")
+    assert code == 2 and "malformed graphon file" in err
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ([{"family": "halfgraph", "n": [8]}], "config file"),
+        ({"family": "halfgraph", "n": 8}, "config field 'n'"),
+        ({"family": "halfgraph", "n": [8.7]}, "config field 'n'"),
+        ({"family": "halfgraph", "n": [8], "grid": "16"}, "config field 'grid'"),
+        ({"family": "halfgraph", "n": [8], "restarts": 2.5}, "config field 'restarts'"),
+        ({"family": "halfgraph", "n": [8], "seed": True}, "config field 'seed'"),
+        ({"family": "halfgraph", "n": [8], "out": 5}, "config field 'out'"),
+    ],
+)
+def test_malformed_config_file_exits_2(tmp_path, capsys, config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "converge", "--config", str(cfg))
+    assert code == 2 and named in err and not out
+
+
 # three-label solve-limit by both methods with scipy made unimportable; the
 # tests workflow runs the same commands in an install without scipy
 _NO_SCIPY_SMOKE = """

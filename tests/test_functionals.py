@@ -291,6 +291,22 @@ def test_kkt_interior_nonconstant_has_positive_residual():
     assert rep.residual > 0.0
 
 
+@pytest.mark.parametrize(
+    "diagnostic",
+    [
+        lambda th: spin_energy_gradient(HalfGraphKernel(), th),
+        lambda th: kkt_residual(HalfGraphKernel(), th),
+        lambda th: block_reduce((0.5, 0.5), th),
+        halfgraph_profiles,
+    ],
+    ids=["gradient", "kkt", "block_reduce", "profiles"],
+)
+def test_spin_diagnostics_reject_three_label_fields(diagnostic):
+    th = ThetaField(np.tile([0.5, 0.25, 0.25], (12, 1)))
+    with pytest.raises(ParameterError, match="two-label"):
+        diagnostic(th)
+
+
 # ---------------------------------------------------------------------------
 # block reduction
 

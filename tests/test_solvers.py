@@ -765,6 +765,50 @@ def test_vertex_enumeration_matches_subset_sum_oracle():
         assert (value <= 1e-12) == subset_hit
 
 
+def _check_vertex_minimizers(res, lams, mass):
+    assert res.minimizers
+    for a in res.minimizers:
+        assert np.all(a >= 0.0) and np.all(a <= lams)
+        assert abs(a.sum() - mass) <= 1e-12
+        assert abs(8.0 * float((a * (lams - a)).sum()) - res.value) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=12),
+    st.floats(0.0, 1.0),
+)
+def test_vertex_minimizers_are_feasible_and_give_the_value(lams, where):
+    lams = np.asarray(lams)
+    mass = where * float(lams.sum())
+    _check_vertex_minimizers(block_vertex_minimum(lams, mass), lams, mass)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=8),
+    st.integers(1, 24),
+    st.floats(0.0, 1.0),
+)
+def test_vertex_minimum_equals_exact_vertex_enumeration(parts, den, where):
+    from fractions import Fraction
+
+    fracs = [Fraction(p, den) for p in parts]
+    mass = Fraction(round(where * sum(parts)), den)
+    lams = np.asarray([float(f) for f in fracs])
+    res = block_vertex_minimum(lams, float(mass))
+    _check_vertex_minimizers(res, lams, float(mass))
+    # a vertex puts every block but at most one (j) at 0 or lambda
+    best = None
+    for code in range(1 << len(fracs)):
+        rest = mass - sum(f for k, f in enumerate(fracs) if code >> k & 1)
+        for j, f in enumerate(fracs):
+            if not code >> j & 1 and 0 <= rest <= f:
+                g = 8 * rest * (f - rest)
+                best = g if best is None else min(best, g)
+    assert abs(res.value - float(best)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # plateau sharpening
 
@@ -823,6 +867,13 @@ def test_sharpen_rejects_unmirrored_plateau():
     x[6:] = 1.0
     th = ThetaField(np.column_stack((x, 1 - x)))
     with pytest.raises(ParameterError):
+        sharpen_plateau(th)
+
+
+def test_sharpen_rejects_three_label_field():
+    # read as spins, its first column would be an all-plateau field
+    th = ThetaField(np.tile([0.5, 0.25, 0.25], (12, 1)))
+    with pytest.raises(ParameterError, match="two-label"):
         sharpen_plateau(th)
 
 
