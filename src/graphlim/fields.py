@@ -80,7 +80,8 @@ class ThetaField:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.ndim != 2 or self.weights.size == 0:
             raise ParameterError("weights must be a nonempty m x N matrix")
-        if np.any(self.weights < -_ROW_TOL) or np.any(self.weights > 1.0 + _ROW_TOL):
+        # written so that NaN weights fail it too
+        if not np.all((self.weights >= -_ROW_TOL) & (self.weights <= 1.0 + _ROW_TOL)):
             raise ParameterError("weights must lie in [0,1]")
         rowsum = self.weights.sum(axis=1)
         if np.any(np.abs(rowsum - 1.0) > _ROW_TOL):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -88,8 +89,10 @@ def graphon_to_dict(w) -> dict:
 
 
 def _json_numbers(values) -> bool:
-    # json reads true and false as bool, which float() and numpy take as 1 and 0
-    return set(map(type, values)) <= {int, float}
+    # json reads true and false as bool, which float() and numpy take as 1 and
+    # 0, and Infinity and NaN as floats
+    values = list(values)
+    return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
 
 
 def graphon_from_dict(data: dict):
@@ -100,17 +103,18 @@ def graphon_from_dict(data: dict):
         if kind == "step":
             widths, values = data["widths"], data["values"]
             if not _json_numbers(itertools.chain(widths, *values)):
-                raise TypeError("widths and values must be JSON numbers")
+                raise TypeError("widths and values must be finite JSON numbers")
             return StepGraphon(np.asarray(widths), np.asarray(values))
         if kind == "analytic":
             name, params = data["kind"], data.get("params", {})
             lists = (v if type(v) is list else [v] for v in params.values())
             if not _json_numbers(itertools.chain.from_iterable(lists)):
-                raise TypeError("params must be JSON numbers or lists of them")
+                raise TypeError("params must be finite JSON numbers or lists of them")
             if name == "checkerboard" and type(params.get("n")) is not int:
                 raise TypeError("checkerboard n must be an integer")
             return analytic_from_kind(name, params)
-    except (AttributeError, KeyError, TypeError) as exc:  # a missing key or param, params not an object
+    # a missing key or param, params not an object, an int too large for a float
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise ParameterError(f"malformed graphon file: {exc}") from exc
     raise ParameterError(f"unknown graphon file type {kind!r}")
 

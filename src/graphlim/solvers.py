@@ -522,36 +522,46 @@ def _row_max(a):
 
 def _pgd(kernel_q, model, feasible, x, max_iters, tol):
     # every row of x is one restart, updated in place; a row retires when it
-    # stops, and the others go on exactly as they would alone
+    # stops, and the others go on exactly as they would alone.  Rows do not
+    # wait for each other: each round makes one stacked projection and one
+    # energy call over every live row.  A row starting an iteration adds its
+    # stop-test point x - g and its first trial x - g / L; a row in its line
+    # search adds its next halved trial.
     lip = 2.0 * float(np.abs(model.coupling).sum()) * kernel_q.max_abs() / kernel_q.m
     step = 1.0 / lip if lip > 0 else 1.0
     energy = limit_cut_energy(kernel_q, feasible.weights(x), model)
     iters = np.zeros(len(x), dtype=int)
-    live = np.arange(len(x))
-    for _ in range(max_iters):
-        if live.size == 0:
-            break
+    g = np.empty_like(x)
+    trial = np.full(len(x), step)
+    tries = np.zeros(len(x), dtype=int)  # trials of the current line search
+    live = np.arange(len(x) if max_iters > 0 else 0)
+    while live.size:
         xl = x[live]
-        g = feasible.reduce(limit_energy_gradient(kernel_q, feasible.weights(xl), model))
-        go = ~(_row_max(np.abs(xl - feasible.project(xl - g))) <= tol)
-        live, xl, g, el = live[go], xl[go], g[go], energy[live[go]]
-        trial = np.full(live.size, step)
-        xn = np.empty_like(xl)
-        en = np.empty(live.size)
-        pending = np.ones(live.size, dtype=bool)
-        for _ in range(60):
-            p = np.flatnonzero(pending)
-            if p.size == 0:
-                break
-            xn[p] = feasible.project(xl[p] - _rowwise(trial[p], xl) * g[p])
-            en[p] = limit_cut_energy(kernel_q, feasible.weights(xn[p]), model)
-            pending[p] = ~(en[p] <= el[p])
-            trial[pending] *= 0.5
-        # a failed or stalled line search ends the row
-        go = ~pending & ~(_row_max(np.abs(xn - xl)) <= 1e-15)
-        live = live[go]
-        x[live], energy[live] = xn[go], en[go]
-        iters[live] += 1
+        fresh = tries[live] == 0
+        new = live[fresh]
+        if new.size:
+            g[new] = feasible.reduce(
+                limit_energy_gradient(kernel_q, feasible.weights(xl[fresh]), model)
+            )
+        gl = g[live]
+        points = feasible.project(
+            np.concatenate((xl[fresh] - gl[fresh], xl - _rowwise(trial[live], xl) * gl))
+        )
+        xn = points[new.size :]
+        en = limit_cut_energy(kernel_q, feasible.weights(xn), model)
+        go = np.ones(live.size, dtype=bool)
+        go[fresh] = ~(_row_max(np.abs(xl[fresh] - points[: new.size])) <= tol)
+        pending = ~(en <= energy[live])
+        tries[live] += 1
+        trial[live[pending]] *= 0.5
+        # a row retires at its stop test, at max_iters accepted steps, after
+        # 60 rejected trials, or when its accepted trial does not move it
+        moved = go & ~pending & ~(_row_max(np.abs(xn - xl)) <= 1e-15)
+        took = live[moved]
+        x[took], energy[took] = xn[moved], en[moved]
+        iters[took] += 1
+        tries[took], trial[took] = 0, step
+        live = live[moved & (iters[live] < max_iters) | go & pending & (tries[live] < 60)]
     return x, energy, iters
 
 
@@ -610,8 +620,13 @@ def minimize_limit_energy(
     run together as one stacked iterate, one row each, and a row retires
     when it stops (tolerance, failed or stalled line search, max_iters);
     each row takes exactly the steps a one-restart solve with its seed
-    would.  The report keeps the best (value, argument) pair, and its
-    iteration count is that of the winning restart.
+    would.  Projected-gradient rows do not wait for each other: each round
+    makes one stacked projection over every live row, which covers the
+    stop-test point x - g and first trial x - g / L of a row starting an
+    iteration and the next halved trial of a row in its line search, and
+    one energy evaluation over the trials.  The report keeps the best
+    (value, argument) pair, and its iteration count is that of the winning
+    restart.
     """
     masses = np.asarray(masses, dtype=float)
     if masses.size != model.n_labels:

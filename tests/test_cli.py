@@ -117,6 +117,16 @@ def test_kkt_rejects_three_label_theta(tmp_path, capsys):
     assert code == 2 and "two-label" in err
 
 
+def test_kkt_rejects_nan_theta(tmp_path, capsys):
+    from graphlim.graphons import HalfGraphKernel
+
+    kpath, tpath = tmp_path / "half.json", tmp_path / "theta.csv"
+    fileio.write_graphon(kpath, HalfGraphKernel())
+    tpath.write_text("cell,theta_1,theta_2\n1,nan,nan\n2,0.5,0.5\n")
+    code, out, err = run(capsys, "kkt", "--graphon", str(kpath), "--theta", str(tpath))
+    assert code == 2 and out == "" and "[0,1]" in err
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -128,6 +138,14 @@ def test_kkt_rejects_three_label_theta(tmp_path, capsys):
         '{"type": "step", "widths": [1.0]}',
         '{"type": "step", "widths": [true], "values": [[0.5]]}',
         '[{"type": "analytic", "kind": "halfgraph", "params": {}}]',
+        '{"type": "step", "widths": [0.5, 0.5], "values": [[1.0, Infinity], [Infinity, 1.0]]}',
+        '{"type": "step", "widths": [NaN], "values": [[0.5]]}',
+        '{"type": "analytic", "kind": "bipartite", "params": {"gamma": NaN}}',
+        '{"type": "analytic", "kind": "blockfamily", "params": {"lambdas": [-Infinity, 0.5]}}',
+        # an integer too large for a float
+        pytest.param(
+            '{"type": "step", "widths": [1%s], "values": [[0.5]]}' % ("0" * 400), id="huge-int"
+        ),
     ],
 )
 def test_malformed_graphon_file_exits_2(tmp_path, capsys, text):

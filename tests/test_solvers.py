@@ -6,10 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from graphlim import solvers
 from graphlim.errors import CapacityError, InfeasibleError, ParameterError
 from graphlim.families import bipartite, block_family, complete, halfgraph
 from graphlim.fields import LabelModel, PartitionSpec, ThetaField, theta_from_labels
-from graphlim.functionals import discrete_cut_energy, limit_cut_energy
+from graphlim.functionals import (
+    cell_averages,
+    discrete_cut_energy,
+    limit_cut_energy,
+    limit_energy_gradient,
+)
 from graphlim.graphons import (
     BipartiteSplitKernel,
     BlockDiagonalKernel,
@@ -674,6 +680,99 @@ def test_restarts_reduce_to_best_single_restart(problem, method, seed, restarts,
     assert rep.iterations == best.iterations
 
 
+def _pgd_lockstep(kernel_q, model, feasible, x, max_iters, tol):
+    # reference: the loop that kept every row in step, with one stop-test
+    # projection per outer iteration and then halvings until the slowest
+    # row's line search ends
+    lip = 2.0 * float(np.abs(model.coupling).sum()) * kernel_q.max_abs() / kernel_q.m
+    step = 1.0 / lip if lip > 0 else 1.0
+    energy = limit_cut_energy(kernel_q, feasible.weights(x), model)
+    iters = np.zeros(len(x), dtype=int)
+    live = np.arange(len(x))
+    for _ in range(max_iters):
+        if live.size == 0:
+            break
+        xl = x[live]
+        g = feasible.reduce(limit_energy_gradient(kernel_q, feasible.weights(xl), model))
+        go = ~(solvers._row_max(np.abs(xl - feasible.project(xl - g))) <= tol)
+        live, xl, g, el = live[go], xl[go], g[go], energy[live[go]]
+        trial = np.full(live.size, step)
+        xn = np.empty_like(xl)
+        en = np.empty(live.size)
+        pending = np.ones(live.size, dtype=bool)
+        for _ in range(60):
+            p = np.flatnonzero(pending)
+            if p.size == 0:
+                break
+            xn[p] = feasible.project(xl[p] - solvers._rowwise(trial[p], xl) * g[p])
+            en[p] = limit_cut_energy(kernel_q, feasible.weights(xn[p]), model)
+            pending[p] = ~(en[p] <= el[p])
+            trial[pending] *= 0.5
+        go = ~pending & ~(solvers._row_max(np.abs(xn - xl)) <= 1e-15)
+        live = live[go]
+        x[live], energy[live] = xn[go], en[go]
+        iters[live] += 1
+    return x, energy, iters
+
+
+def _pgd_start(w, model, masses, m, seed, restarts):
+    # the kernel, feasible set and projected starts of minimize_limit_energy
+    sets = solvers._BoxMeanSet, solvers._TransportSet
+    feasible = sets[model.n_labels > 2](np.asarray(masses, dtype=float), m)
+    starts = np.stack([philox(seed + r).random(feasible.shape) for r in range(restarts)])
+    return cell_averages(w, m), feasible, feasible.project(starts)
+
+
+# half graph, three labels: with seed 0 and two restarts the rows run 1033
+# and 1019 iterations, and their line searches halve in different rounds
+_HALF_THREE = (HalfGraphKernel(), 6, MODELS["unit_cut_3"], np.array([0.4, 0.3, 0.3]))
+
+
+@given(
+    grid_problems(),
+    st.integers(0, 1000),
+    st.integers(1, 6),
+    st.sampled_from([0, 1, 2, 4, 40]),
+)
+@example(_HALF_THREE, 0, 2, 5000)
+@settings(max_examples=100, deadline=None)
+def test_pgd_rows_match_lockstep_loop(problem, seed, restarts, max_iters):
+    # each row keeps its own sequence of points and tests, so the rounds
+    # change only the number of calls, never a bit of the result
+    w, m, model, masses = problem
+    kernel_q, feasible, x = _pgd_start(w, model, masses, m, seed, restarts)
+    got = solvers._pgd(kernel_q, model, feasible, x.copy(), max_iters, 1e-10)
+    ref = _pgd_lockstep(kernel_q, model, feasible, x.copy(), max_iters, 1e-10)
+    for r in range(restarts):
+        assert got[0][r].tobytes() == ref[0][r].tobytes()
+        assert got[1][r].tobytes() == ref[1][r].tobytes()
+        assert got[2][r] == ref[2][r]
+
+
+def test_pgd_one_projection_per_energy_call(monkeypatch):
+    # the PGD solve of the benchmark's three-label workload: at every round
+    # one stacked projection, then one energy call over the trials
+    calls = []
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solvers, "project_polytope", logged("P", project_polytope))
+    monkeypatch.setattr(solvers, "limit_cut_energy", logged("E", limit_cut_energy))
+    model = LabelModel.unit_cut((1.0, 2.0, 3.0))
+    minimize_limit_energy(
+        BlockDiagonalKernel((0.5, 0.5)), model, (0.5, 0.25, 0.25), 4, seed=7000, restarts=6
+    )
+    # starts, start energy, the rounds, then the value and the residual
+    rounds = (len(calls) - 4) // 2
+    assert "".join(calls) == "PE" + "PE" * rounds + "EP"
+    assert calls.count("P") <= 80
+
+
 def test_frank_wolfe_bipartite_reaches_minimum_early():
     rep = minimize_limit_energy(
         BipartiteSplitKernel(0.5), spin, (0.5, 0.5), 48, method="frank_wolfe", seed=0
@@ -699,8 +798,6 @@ def test_minimize_rejects_bad_masses_and_method():
 
 
 def test_pgd_monotone_descent_trace():
-    from graphlim.functionals import cell_averages, limit_energy_gradient
-
     kernel_q = cell_averages(HalfGraphKernel(), 24)
     rng = philox(8)
     x = project_box_mean(rng.random(24), 0.5)
