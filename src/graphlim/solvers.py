@@ -147,43 +147,58 @@ def swap_descent(g: Graph, labels, model: LabelModel):
     """First-improvement pairwise-swap descent preserving label counts.
 
     Swapping the labels a of node i and b of node j (a != b) changes the cut
-    energy by 2·(di + dj)/n², where di = gain[i, b] - gain[i, a], less
-    f[b, b] - f[a, b] when i and j are adjacent, dj is its mirror image, and
-    gain[v, c] = Σ over neighbours u of v of f[c, label(u)].  As in the gain
-    bookkeeping of Kernighan-Lin (1970) and Fiduccia-Mattheyses (1982), the
-    gain matrix comes from the neighbour label counts counts[v, k], which a
-    swap updates from two adjacency columns.  Each step therefore scores all
-    pairs in one O(n²) numpy scan and swaps the first pair i < j, in
-    row-major order, whose change is below -1e-9; the scan repeats until no
-    pair improves.  For integer-valued couplings every sum is exact, so the
-    labeling equals that of scanning the pairs one by one.  Returns
+    energy by 2·(di + dj)/n², where di = gain[i, b] - gain[i, a], less the
+    bond term f[b, b] - f[a, b] when i and j are adjacent, dj is its mirror
+    image, and gain[v, c] = Σ over neighbours u of v of f[c, label(u)].  As
+    in the gain bookkeeping of Kernighan-Lin (1970) and Fiduccia-Mattheyses
+    (1982), the gain matrix comes from the neighbour label counts
+    counts[v, k], which a swap updates from two adjacency columns.
+
+    The adjacency is symmetric, so the n×n matrix of the dj is the transpose
+    of that of the di, float operation for float operation.  Each scan
+    therefore gathers one half-delta, dj (rows of the gain matrix less the
+    bond term), and swaps the first pair, in row-major order, whose change
+    2·(dj + dj.T) is below -1e-9; the scan repeats until no pair improves.
+    Pairs with equal labels and the diagonal score exactly 0 and the sum is
+    symmetric, so the first hit of the whole matrix is the first improving
+    pair i < j, found by argmax without a pair mask.  The bond term is kept
+    as an n×n array whose two swapped rows and columns follow each swap.
+    The labeling and swap count equal those of scoring di and dj apart for
+    every symmetric coupling, and for integer-valued couplings every sum is
+    exact, so they equal those of scanning the pairs one by one.  Returns
     (labels, accepted swap count).
     """
     n = g.n
-    idx = np.asarray([model.index_of(v) for v in np.asarray(labels, dtype=float)])
+    labels = np.asarray(labels, dtype=float)
+    if labels.shape != (n,):
+        raise ParameterError(f"need one label per node ({n}), got shape {labels.shape}")
+    idx = np.asarray([model.index_of(v) for v in labels])
     f = model.coupling
     adjacency = g.adjacency().astype(float)
     counts = adjacency @ (idx[:, None] == np.arange(model.n_labels)).astype(float)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    nodes = np.arange(n)
+    bond_of = np.diag(f)[:, None] - f  # bond_of[a, b] = f[a, a] - f[a, b]
+    bond = adjacency * bond_of[idx[:, None], idx]
     swaps = 0
     while True:
         gain = counts @ f.T
-        own = gain[np.arange(n), idx]
-        cross = gain[:, idx]
-        pair = f[idx[:, None], idx[None, :]]
-        diag = np.diag(f)[idx]
-        di = cross - own[:, None] - adjacency * (diag[None, :] - pair)
-        dj = cross.T - own[None, :] - adjacency * (diag[:, None] - pair.T)
-        delta = 2.0 * (di + dj)
-        hits = np.flatnonzero(upper & (idx[:, None] != idx[None, :]) & (delta < -1e-9))
-        if hits.size == 0:
+        gain -= gain[nodes, idx, None]
+        dj = gain.T[idx]  # dj[i, j] = gain[j, a] - gain[j, b], a = idx[i], b = idx[j]
+        dj -= bond
+        # delta = 2·(dj + dj.T), and doubling is exact
+        hit = dj + dj.T < -0.5e-9
+        k = int(np.argmax(hit))
+        if not hit.flat[k]:
             break
-        i, j = divmod(int(hits[0]), n)
+        i, j = divmod(k, n)
         a, b = idx[i], idx[j]
         moved = adjacency[:, i] - adjacency[:, j]
         counts[:, a] -= moved
         counts[:, b] += moved
         idx[i], idx[j] = b, a
+        for v in (i, j):
+            bond[v] = adjacency[v] * bond_of[idx[v], idx]
+            bond[:, v] = adjacency[:, v] * bond_of[idx, idx[v]]
         swaps += 1
     return np.asarray(model.labels)[idx], swaps
 
@@ -718,7 +733,10 @@ def block_vertex_minimum(lambdas, mass=0.5) -> BlockVertexResult:
     if not picked.size:
         raise InfeasibleError("no vertex satisfies the mass constraint")
     best_g = float(scores.min())
-    at_min = scores <= best_g + _TIE_TOL
+    # ties differ by the rounding of the subset sums: nlab additions of terms
+    # up to the total mass, then one subtraction, each times a block fraction
+    scale = max(float(lams.sum()), abs(mass)) * float(lams.max())
+    at_min = scores <= best_g + 2 * (nlab + 1) * np.finfo(float).eps * scale
     picked, blocks = picked[at_min], blocks[at_min]
     vecs = np.where((picked[:, None] >> np.arange(nlab)) & 1, lams, 0.0)
     frac = np.nonzero(blocks >= 0)[0]

@@ -1,7 +1,12 @@
-"""Golden files: the bytes that `gen` and `graphon` write are pinned by SHA-256.
+"""Golden files: the bytes that `gen`, `graphon` and `solve-discrete --method
+local` write are pinned by SHA-256.
 
-The digests were taken from the tuple-set Graph that preceded the array-backed
-one, so any change to edge order, sampling or number formatting shows here.
+The `gen` and `graphon` digests were taken from the tuple-set Graph that
+preceded the array-backed one, so any change to edge order, sampling or number
+formatting shows here.  The two local-search digests (a bisection of the
+61-node sampled graph and a three-way 4,4,3 split of the 11-node block graph)
+were taken from the swap descent that scored di and dj apart, so any change to
+the labels, the swap counts or the reported value shows here.
 """
 import hashlib
 
@@ -33,6 +38,10 @@ RUNS = {
     "wrandom_step.json": ["gen", "--family", "wrandom", "--kernel", "step_kernel.json",
                           "--n", "61", "--seed", "2"],
     "wrandom_step_graphon.json": ["graphon", "--graph", "wrandom_step.json"],
+    "local_wrandom_step.json": ["solve-discrete", "--graph", "wrandom_step.json",
+                                "--method", "local"],
+    "local_blocks_three.json": ["solve-discrete", "--graph", "blocks.json",
+                                "--method", "local", "--sizes", "4,4,3"],
 }
 
 GOLDEN = {
@@ -45,6 +54,8 @@ GOLDEN = {
     "complete_limit.json": "3862f639e8d1771d1aeb3d637b4be8cb935edd99585848e3d451aac8872710cd",
     "halfgraph.json": "87d397a7df6fa7c4caa93ff5eadd4d034ec58434696b6165e1c062b1ef2bae05",
     "halfgraph_limit.json": "df111236262aefeb65bc62adb2a12f519095779b6abc7b997cc868651d09b698",
+    "local_blocks_three.json": "3339fd76795c75d11abd6e13f0d6b01059641a89ac51251620676bccc8604a4a",
+    "local_wrandom_step.json": "438125e8037c951adb75db5616518e7ca92a07204a205de1a5908fe569d5afb2",
     "wrandom_constant.json": "96f9a804b3262e033cc32bde7be51d0dd9c26fab4f962b1104f2b048dc2f91b5",
     "wrandom_step.json": "2e022f0508a7069087d87074225850da882acd3b535891bb17428af8c0e25408",
     "wrandom_step_graphon.json": "db17357809ca1095810195951cee81dcfcf6e5615ca001a4d1e5e3a39d78847d",

@@ -192,6 +192,66 @@ def test_swap_descent_matches_pair_scan(case):
     assert swaps == ref_swaps
 
 
+def _swap_descent_gain_scan(g, labels, model):
+    # reference: the gain-matrix scan that scored di and dj apart and rebuilt
+    # the pair masks on every scan, before dj became the transpose of di
+    n = g.n
+    idx = np.asarray([model.index_of(v) for v in np.asarray(labels, dtype=float)])
+    f = model.coupling
+    adjacency = g.adjacency().astype(float)
+    counts = adjacency @ (idx[:, None] == np.arange(model.n_labels)).astype(float)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    swaps = 0
+    while True:
+        gain = counts @ f.T
+        own = gain[np.arange(n), idx]
+        cross = gain[:, idx]
+        pair = f[idx[:, None], idx[None, :]]
+        diag = np.diag(f)[idx]
+        di = cross - own[:, None] - adjacency * (diag[None, :] - pair)
+        dj = cross.T - own[None, :] - adjacency * (diag[:, None] - pair.T)
+        delta = 2.0 * (di + dj)
+        hits = np.flatnonzero(upper & (idx[:, None] != idx[None, :]) & (delta < -1e-9))
+        if hits.size == 0:
+            break
+        i, j = divmod(int(hits[0]), n)
+        a, b = idx[i], idx[j]
+        moved = adjacency[:, i] - adjacency[:, j]
+        counts[:, a] -= moved
+        counts[:, b] += moved
+        idx[i], idx[j] = b, a
+        swaps += 1
+    return np.asarray(model.labels)[idx], swaps
+
+
+def _random_coupling_model(k, seed):
+    # k labels with a random non-integer symmetric coupling
+    raw = philox(seed).random((k, k)) * 3.0
+    return LabelModel(tuple(float(v) for v in range(1, k + 1)), raw + raw.T)
+
+
+@given(
+    st.integers(0, 10**6), st.integers(1, 40), st.floats(0.1, 0.9),
+    st.sampled_from([spin, three_labels])
+    | st.builds(_random_coupling_model, st.integers(2, 4), st.integers(0, 10**6)),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_swap_descent_matches_gain_scan(seed, n, p, model, start_seed):
+    g, start = _descent_case(seed, n, p, model, start_seed)
+    labels, swaps = swap_descent(g, start, model)
+    ref_labels, ref_swaps = _swap_descent_gain_scan(g, start, model)
+    assert labels.tobytes() == ref_labels.tobytes()
+    assert swaps == ref_swaps
+
+
+def test_swap_descent_rejects_wrong_label_count():
+    with pytest.raises(ParameterError, match="one label per node"):
+        swap_descent(complete(6).graph, [1, -1, 1], spin)
+    with pytest.raises(ParameterError, match="one label per node"):
+        swap_descent(complete(2).graph, [[1, -1]], spin)
+
+
 @given(descent_cases)
 @settings(max_examples=100, deadline=None)
 def test_swap_descent_ends_at_local_minimum(case):
@@ -875,6 +935,7 @@ def _check_vertex_minimizers(res, lams, mass):
     st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=12),
     st.floats(0.0, 1.0),
 )
+@example(lams=[1.0, 0.5], where=1e-12)  # scores of the size of the old 1e-12 tie tolerance
 def test_vertex_minimizers_are_feasible_and_give_the_value(lams, where):
     lams = np.asarray(lams)
     mass = where * float(lams.sum())
