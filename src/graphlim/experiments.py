@@ -3,14 +3,14 @@
 For each n the configured family is generated, the balanced bisection is
 solved (exactly when the size permits, otherwise by swap descent with a
 flag), and the gap to the continuum minimum plus the labeled cut-norm gap
-are recorded as one CSV row.
+are recorded as one CSV row.  Rows run one after another in n order on the
+calling thread, so each row's `seconds` is its own wall time.
 """
 from __future__ import annotations
 
 import numbers
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 
 from .errors import ParameterError
@@ -128,17 +128,13 @@ class ConvergenceRow:
 
 
 def thread_cap() -> int:
-    """Worker cap from GRAPHCUT_THREADS; defaults to the available cores."""
-    raw = os.environ.get("GRAPHCUT_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError("GRAPHCUT_THREADS must be a positive integer") from None
-    if value < 1:
-        raise ParameterError("GRAPHCUT_THREADS must be a positive integer")
-    return value
+    """Rows run one at a time, so this is always 1.
+
+    perfbench's tracer (`perfbench/tracing.py`) is its only reader; the
+    next benchmark change retires it along with the `experiments.pool.*`
+    metrics.
+    """
+    return 1
 
 
 def labeled_gap(graph, limit, restarts, seed):
@@ -152,10 +148,9 @@ def labeled_gap(graph, limit, restarts, seed):
     step = step_from_graph(graph)
     averaged = limit.step_on(graph.n)
     diff = step - averaged
-    representable = limit.is_step_on(step.boundaries)
     if graph.n <= EXACT_CUT_NORM_MAX_BLOCKS:
         value = cut_norm(diff, mode="exact").value
-        return value, representable
+        return value, limit.is_step_on(step.boundaries)
     value = cut_norm(diff, mode="heuristic", restarts=restarts, seed=seed).value
     return value, False
 
@@ -209,19 +204,11 @@ def run_converge(config: ExperimentConfig):
         restarts=config.restarts,
     )
     j_star = continuum.value
-    workers = min(thread_cap(), len(config.ns))
     rows = []
-    failure = None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_solve_row, config, n, j_star) for n in config.ns]
-        for fut in futures:
-            try:
-                rows.append(fut.result())
-            except Exception as exc:  # partial results are still flushed
-                failure = exc
-                break
-    if config.out:
-        write_text(config.out, rows_to_csv(rows))
-    if failure is not None:
-        raise failure
+    try:
+        for n in config.ns:
+            rows.append(_solve_row(config, n, j_star))
+    finally:  # a failing row still leaves the completed prefix on disk
+        if config.out:
+            write_text(config.out, rows_to_csv(rows))
     return rows

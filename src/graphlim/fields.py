@@ -59,6 +59,18 @@ class LabelModel:
         except ValueError:
             raise ParameterError(f"unknown label {label!r}") from None
 
+    def indices(self, values):
+        """Label index of each entry of values, in one vectorised pass.
+
+        Raises the `index_of` error for the first unknown entry in C order.
+        """
+        values = np.asarray(values, dtype=float)
+        hits = values[..., None] == np.asarray(self.labels)
+        known = hits.any(axis=-1)
+        if not known.all():
+            raise ParameterError(f"unknown label {values.flat[np.argmin(known)]!r}")
+        return np.argmax(hits, axis=-1)
+
     @property
     def is_spin(self):
         return self.n_labels == 2 and set(self.labels) == {1.0, -1.0}
@@ -113,8 +125,7 @@ class ThetaField:
         return np.argmax(self.weights, axis=1)
 
     def labels_of(self, model: LabelModel):
-        idx = self.label_indices()
-        return np.asarray([model.labels[k] for k in idx])
+        return np.asarray(model.labels)[self.label_indices()]
 
     def counts(self):
         idx = self.label_indices()
@@ -126,7 +137,7 @@ def theta_from_labels(u, model: LabelModel) -> ThetaField:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise ParameterError("labeling must be a nonempty 1-d sequence")
-    return ThetaField(np.eye(model.n_labels)[[model.index_of(v) for v in u]])
+    return ThetaField(np.eye(model.n_labels)[model.indices(u)])
 
 
 @dataclass(frozen=True)

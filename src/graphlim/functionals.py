@@ -85,7 +85,7 @@ def discrete_cut_energy(g: Graph, u, model: LabelModel) -> float:
     u = np.asarray(u, dtype=float)
     if u.size != g.n:
         raise ParameterError("labeling must cover every node")
-    idx = np.asarray([model.index_of(v) for v in u])
+    idx = model.indices(u)
     f = model.coupling
     a, b = idx[g.edges - 1].T
     terms = f[a, b] + f[b, a]

@@ -172,7 +172,7 @@ def swap_descent(g: Graph, labels, model: LabelModel):
     labels = np.asarray(labels, dtype=float)
     if labels.shape != (n,):
         raise ParameterError(f"need one label per node ({n}), got shape {labels.shape}")
-    idx = np.asarray([model.index_of(v) for v in labels])
+    idx = model.indices(labels)
     f = model.coupling
     adjacency = g.adjacency().astype(float)
     counts = adjacency @ (idx[:, None] == np.arange(model.n_labels)).astype(float)
@@ -217,10 +217,7 @@ def local_search_partition(
         rng = np.random.Generator(np.random.Philox(seed + r))
         perm = rng.permutation(g.n)
         start = np.empty(g.n)
-        pos = 0
-        for k, size in enumerate(sizes):
-            start[perm[pos : pos + size]] = model.labels[k]
-            pos += size
+        start[perm] = np.repeat(model.labels, sizes)
         labels, swaps = swap_descent(g, start, model)
         value = discrete_cut_energy(g, labels, model)
         key = (value, tuple(labels))

@@ -10,8 +10,7 @@ import pytest
 
 from graphlim import fileio
 from graphlim.cli import main
-from graphlim.errors import ParameterError
-from graphlim.experiments import CSV_HEADER, ExperimentConfig, run_converge, thread_cap
+from graphlim.experiments import CSV_HEADER, ExperimentConfig, run_converge
 from graphlim.graphons import ConstantKernel
 
 
@@ -466,19 +465,6 @@ def test_cutnorm_csv_format(tmp_path, capsys):
     assert lines["exact"] == "true"
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("GRAPHCUT_THREADS", raising=False)
-    assert thread_cap() >= 1
-    monkeypatch.setenv("GRAPHCUT_THREADS", "2")
-    assert thread_cap() == 2
-    monkeypatch.setenv("GRAPHCUT_THREADS", "0")
-    with pytest.raises(ParameterError):
-        thread_cap()
-    monkeypatch.setenv("GRAPHCUT_THREADS", "soup")
-    with pytest.raises(ParameterError):
-        thread_cap()
-
-
 def test_converge_csv_numbers_round_trip(tmp_path):
     out = tmp_path / "c.csv"
     main(
@@ -507,45 +493,28 @@ def test_converge_csv_numbers_round_trip(tmp_path):
             assert float(fileio.format_float(parsed)) == parsed
 
 
-def test_converge_output_independent_of_worker_count(tmp_path, monkeypatch):
-    argv = [
-        "converge",
-        "--family",
-        "bipartite",
-        "--n",
-        "8,12,16",
-        "--grid",
-        "16",
-        "--restarts",
-        "2",
-        "--seed",
-        "0",
-    ]
-    outs = []
-    for workers, name in (("1", "a.csv"), ("3", "b.csv")):
-        monkeypatch.setenv("GRAPHCUT_THREADS", workers)
-        path = tmp_path / name
-        assert main(argv + ["--out", str(path)]) == 0
-        lines = path.read_text().splitlines()
-        outs.append([",".join(ln.split(",")[:-1]) for ln in lines])
-    assert outs[0] == outs[1]
-
-
 def test_run_converge_partial_flush(tmp_path, monkeypatch):
-    # a failing row still leaves the completed prefix on disk
+    # a failing row still leaves the completed prefix on disk, and the rows
+    # after it are never solved
     import graphlim.experiments as exp
 
     out = tmp_path / "c.csv"
-    config = ExperimentConfig(family="halfgraph", ns=(8, 10), grid=12, restarts=2, seed=0, out=str(out))
+    config = ExperimentConfig(
+        family="halfgraph", ns=(8, 10, 12), grid=12, restarts=2, seed=0, out=str(out)
+    )
     original = exp._solve_row
+    solved = []
 
     def explode(config, n, j_star):
+        solved.append(n)
         if n == 10:
             raise RuntimeError("boom")
         return original(config, n, j_star)
 
     monkeypatch.setattr(exp, "_solve_row", explode)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="boom"):
         exp.run_converge(config)
     lines = out.read_text().splitlines()
-    assert lines[0].startswith("n,") and len(lines) == 2
+    assert lines[0] == CSV_HEADER and len(lines) == 2
+    assert lines[1].startswith("8,")
+    assert solved == [8, 10]

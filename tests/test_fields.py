@@ -44,6 +44,9 @@ def test_label_model_validation():
 def test_unknown_label_rejected():
     with pytest.raises(ParameterError):
         theta_from_labels([1.0, 3.0], spin)
+    # the vectorised map names the first unknown entry, as index_of would
+    with pytest.raises(ParameterError, match=r"unknown label .*3\.0"):
+        spin.indices([[1.0, -1.0], [3.0, 5.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +84,7 @@ def test_label_round_trip():
     model = LabelModel.unit_cut((1.0, 2.0, 3.0))
     u = np.asarray([model.labels[int(rng.integers(3))] for _ in range(20)])
     assert np.array_equal(theta_from_labels(u, model).labels_of(model), u)
+    assert model.indices(u).tolist() == [model.index_of(v) for v in u]
 
 
 @given(st.integers(0, 10**6))
