@@ -15,7 +15,7 @@ import numpy as np
 
 from . import families, fileio
 from .errors import CapacityError, InfeasibleError, ParameterError
-from .experiments import ExperimentConfig, rows_to_csv, run_converge
+from .experiments import FAMILY_IDS, ExperimentConfig, family_instance, rows_to_csv, run_converge
 from .fields import LabelModel, PartitionSpec
 from .functionals import kkt_residual
 from .graphons import (
@@ -102,16 +102,8 @@ def _cmd_gen(args):
         limit = fileio.read_graphon(args.kernel)
         graph = families.w_random(limit, args.n, args.seed)
     else:
-        if args.family == "complete":
-            inst = families.complete(args.n)
-        elif args.family == "blocks":
-            if not args.lambdas:
-                raise ParameterError("gen --family blocks requires --lambdas")
-            inst = families.block_family(_parse_floats(args.lambdas), args.n)
-        elif args.family == "bipartite":
-            inst = families.bipartite(args.gamma, args.n)
-        else:
-            inst = families.halfgraph(args.n)
+        lambdas = _parse_floats(args.lambdas) if args.lambdas else ()
+        inst = family_instance(args.family, args.n, args.gamma, lambdas)
         graph, limit = inst.graph, inst.limit
     if not args.out:
         raise ParameterError("gen requires --out for the graph file")
@@ -133,16 +125,11 @@ def _cmd_graphon(args):
 
 def _difference_kernel(a, b):
     """Step kernel of a - b, flagged exact when no averaging was needed."""
-    if isinstance(a, StepGraphon) and b is None:
+    if not isinstance(a, StepGraphon):
+        raise ParameterError("--a must be a step graphon file")
+    if b is None:
         return a, True
-    if isinstance(a, StepGraphon) and isinstance(b, StepGraphon):
-        return a - b, True
-    if isinstance(a, StepGraphon):
-        averaged = b.step_on(a.block_count) if a.equal_width() else None
-        if averaged is None:
-            raise ParameterError("mixed differences need an equal-width step grid")
-        return a - averaged, b.is_step_on(a.boundaries)
-    raise ParameterError("--a must be a step graphon file")
+    return a - b, isinstance(b, StepGraphon) or b.is_step_on(a.block_count)
 
 
 def _cmd_cutnorm(args):
@@ -191,6 +178,8 @@ def _model_for(n_labels):
 def _cmd_solve_discrete(args):
     graph = fileio.read_graph(args.graph)
     if args.method == "brute":
+        if args.sizes:
+            raise ParameterError("--sizes is for --method local only")
         report = brute_bisection(graph)
     else:
         spec = PartitionSpec.bisection()
@@ -285,7 +274,7 @@ def build_parser():
     p.add_argument(
         "--family",
         required=True,
-        choices=("complete", "blocks", "bipartite", "halfgraph", "checkerboard", "wrandom"),
+        choices=FAMILY_IDS + ("checkerboard", "wrandom"),
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambdas", help="comma-separated block fractions")
@@ -318,7 +307,7 @@ def build_parser():
     p = sub.add_parser("solve-discrete", help="minimal balanced cuts of a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--method", choices=("brute", "local"), default="brute")
-    p.add_argument("--sizes", help="comma-separated part sizes for local search")
+    p.add_argument("--sizes", help="comma-separated part sizes (--method local only)")
     p.add_argument("--restarts", type=int, default=8)
     _common(p)
     p.set_defaults(func=_cmd_solve_discrete)
@@ -339,7 +328,7 @@ def build_parser():
     p.set_defaults(func=_cmd_kkt)
 
     p = sub.add_parser("converge", help="discrete-to-continuum convergence table")
-    p.add_argument("--family", choices=("complete", "blocks", "bipartite", "halfgraph"))
+    p.add_argument("--family", choices=FAMILY_IDS)
     p.add_argument("--n", help="comma-separated even node counts")
     p.add_argument("--grid", type=int)
     p.add_argument("--gamma", type=float)

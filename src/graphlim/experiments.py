@@ -96,13 +96,22 @@ class ExperimentConfig:
             raise ParameterError("config field 'lambdas': required for the blocks family")
 
     def instance(self, n):
-        if self.family == "complete":
-            return complete(n)
-        if self.family == "blocks":
-            return block_family(self.lambdas, n)
-        if self.family == "bipartite":
-            return bipartite(self.gamma, n)
+        return family_instance(self.family, n, self.gamma, self.lambdas)
+
+
+def family_instance(family, n, gamma=0.5, lambdas=()):
+    """The n-node graph and limit kernel of one of the FAMILY_IDS."""
+    if family == "complete":
+        return complete(n)
+    if family == "blocks":
+        if not lambdas:
+            raise ParameterError("the blocks family requires lambdas")
+        return block_family(lambdas, n)
+    if family == "bipartite":
+        return bipartite(gamma, n)
+    if family == "halfgraph":
         return halfgraph(n)
+    raise ParameterError(f"unknown family {family!r}, expected one of {FAMILY_IDS}")
 
 
 @dataclass(frozen=True)
@@ -145,12 +154,10 @@ def labeled_gap(graph, limit, restarts, seed):
     the true gap exactly when the limit is a step kernel on that grid),
     otherwise an alternating-maximization lower bound.
     """
-    step = step_from_graph(graph)
-    averaged = limit.step_on(graph.n)
-    diff = step - averaged
+    diff = step_from_graph(graph) - limit
     if graph.n <= EXACT_CUT_NORM_MAX_BLOCKS:
         value = cut_norm(diff, mode="exact").value
-        return value, limit.is_step_on(step.boundaries)
+        return value, limit.is_step_on(graph.n)
     value = cut_norm(diff, mode="heuristic", restarts=restarts, seed=seed).value
     return value, False
 

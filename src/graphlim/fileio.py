@@ -143,10 +143,14 @@ def write_theta(path, field: ThetaField):
 def read_theta(path) -> ThetaField:
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("cell,"):
-        raise ParameterError("theta file must start with a cell,theta_* header")
+    header = lines[0].split(",") if lines else []
+    n_labels = len(header) - 1
+    if n_labels < 1 or header != ["cell"] + [f"theta_{k + 1}" for k in range(n_labels)]:
+        raise ParameterError("theta file must start with a cell,theta_1,...,theta_N header")
     rows = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
+        if parts[0] != str(i) or len(parts) != n_labels + 1:
+            raise ParameterError(f"theta file row {i}: expected cell {i} and {n_labels} weights")
         rows.append([float(v) for v in parts[1:]])
     return ThetaField(np.asarray(rows))

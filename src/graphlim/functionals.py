@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import InfeasibleError, ParameterError
 from .fields import LabelModel, ThetaField
-from .graphons import AnalyticGraphon, Graph, StepGraphon
+from .graphons import AnalyticGraphon, BlockDiagonalKernel, Graph, StepGraphon
 
-_GRID_TOL = 1e-9
+_INTERIOR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ def cell_averages(w, m: int) -> QuadratureKernel:
             raise ParameterError(f"kernel is on a {w.m}-cell grid, requested {m}")
         return w
     if isinstance(w, StepGraphon):
-        scaled = w.boundaries[1:-1] * m
-        if np.any(np.abs(scaled - np.round(scaled)) > _GRID_TOL):
+        if not w.is_step_on(m):
             raise ParameterError(
                 "step graphon blocks do not align with the requested grid"
             )
@@ -144,17 +143,17 @@ class KKTReport:
     vacuous: bool  # no strictly interior cells, condition holds trivially
 
 
-def kkt_residual(w, theta, model: LabelModel = None, interior_tol=1e-9) -> KKTReport:
+def kkt_residual(w, theta, model: LabelModel = None) -> KKTReport:
     """First-order stationarity residual on the interior set of a spin field.
 
     The multiplier is the mean of phi over cells with theta strictly inside
-    (tol, 1 - tol); the residual is the max deviation of phi from it there.
+    (1e-9, 1 - 1e-9); the residual is the max deviation of phi from it there.
     """
     x = _plus_weights(theta, model, "kkt_residual")
     m = x.size
     kernel = cell_averages(w, m)
     phi = kernel.matrix @ (1.0 - 2.0 * x) / m
-    interior = (x > interior_tol) & (x < 1.0 - interior_tol)
+    interior = (x > _INTERIOR_TOL) & (x < 1.0 - _INTERIOR_TOL)
     if not np.any(interior):
         return KKTReport(phi, None, 0.0, True)
     mult = float(phi[interior].mean())
@@ -176,17 +175,13 @@ def block_reduce(lambdas, theta, model: LabelModel = None) -> BlockReduction:
     continuum energy of the same field on the block kernel.
     """
     x = _plus_weights(theta, model, "block_reduce")
-    lams = np.asarray(lambdas, dtype=float)
+    kernel = BlockDiagonalKernel(lambdas)
     m = x.size
-    bounds = np.concatenate(([0.0], np.cumsum(lams)))
-    scaled = bounds * m
-    if np.any(np.abs(scaled - np.round(scaled)) > _GRID_TOL):
+    if not kernel.is_step_on(m):
         raise ParameterError("grid does not refine the block partition")
-    edges = np.round(scaled).astype(int)
-    masses = np.asarray(
-        [x[edges[k] : edges[k + 1]].sum() / m for k in range(lams.size)]
-    )
-    reduced = float((masses * (lams - masses)).sum())
+    edges = np.round(kernel.boundaries * m).astype(int)
+    masses = np.asarray([x[a:b].sum() / m for a, b in zip(edges[:-1], edges[1:])])
+    reduced = float((masses * (kernel.lambdas - masses)).sum())
     return BlockReduction(masses, reduced, 8.0 * reduced)
 
 

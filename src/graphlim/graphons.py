@@ -117,6 +117,12 @@ def _boundaries_of(widths):
     return b
 
 
+def _on_grid(points, m):
+    """Whether m * p lies within _GRID_TOL of an integer for every point p."""
+    scaled = np.asarray(points, dtype=float) * m
+    return not np.any(np.abs(scaled - np.round(scaled)) > _GRID_TOL)
+
+
 class _Blocks:
     """Block lookup and integrals of a kernel that is constant on blocks.
 
@@ -124,8 +130,12 @@ class _Blocks:
     K x K ``values``.  Every method broadcasts over numpy arrays.
     """
 
-    def is_w0(self, tol=_WIDTH_TOL):
-        return bool(np.all(self.values >= -tol) and np.all(self.values <= 1.0 + tol))
+    def is_w0(self):
+        return bool(np.all(self.values >= -_WIDTH_TOL) and np.all(self.values <= 1.0 + _WIDTH_TOL))
+
+    def is_step_on(self, m):
+        """Whether every block boundary sits on the m-cell grid."""
+        return _on_grid(self.boundaries[1:-1], m)
 
     def block_index(self, x):
         # blocks are half-open on the left, (b[i-1], b[i]], with 0 in the first
@@ -196,12 +206,17 @@ class StepGraphon(_Blocks):
     def l1_norm(self):
         return float(np.abs(self.values) @ self.widths @ self.widths)
 
-    def equal_width(self, tol=_WIDTH_TOL):
-        return bool(np.all(np.abs(self.widths - 1.0 / self.block_count) <= tol))
+    def equal_width(self):
+        return bool(np.all(np.abs(self.widths - 1.0 / self.block_count) <= _WIDTH_TOL))
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
             return StepGraphon(self.widths.copy(), self.values - float(other))
+        # an analytic kernel is averaged exactly onto this graphon's equal-width grid
+        if isinstance(other, AnalyticGraphon):
+            if not self.equal_width():
+                raise ParameterError("mixed differences need an equal-width step grid")
+            other = other.step_on(self.block_count)
         if isinstance(other, StepGraphon):
             if self.block_count != other.block_count or np.any(
                 np.abs(self.widths - other.widths) > _WIDTH_TOL
@@ -242,16 +257,9 @@ class AnalyticGraphon:
     def slice_integral(self, x, y0, y1):
         raise NotImplementedError
 
-    def internal_boundaries(self):
-        """Finite x-axis discontinuity set, or None if not a step kernel."""
-        return None
-
-    def is_step_on(self, boundaries, tol=_GRID_TOL):
-        own = self.internal_boundaries()
-        if own is None:
-            return False
-        bs = np.asarray(boundaries, dtype=float)
-        return all(np.min(np.abs(bs - b)) <= tol for b in own)
+    def is_step_on(self, m):
+        """Whether this is a step kernel with its blocks on the m-cell grid."""
+        return False
 
     def step_on(self, m: int) -> StepGraphon:
         """Exact cell averages on the m-cell uniform grid as a step graphon."""
@@ -271,9 +279,6 @@ class StepKernel(_Blocks, AnalyticGraphon):
     def __init__(self, boundaries, values):
         self.boundaries = np.asarray(boundaries, dtype=float)
         self.values = np.asarray(values, dtype=float)
-
-    def internal_boundaries(self):
-        return tuple(float(v) for v in self.boundaries[1:-1])
 
 
 class ConstantKernel(StepKernel):
@@ -414,7 +419,7 @@ def _pattern_chunk(lo, hi, m):
     return ((ps >> shifts) & np.uint64(1)).astype(float)
 
 
-def _exact_cut_norm(widths, values, with_witness=True):
+def _exact_cut_norm(widths, values):
     # split in half: pattern p = a * 2^h + b takes its first m - h blocks from
     # a and its last h from b, so cols(p) = hi[a] + lo[b]; each pattern scores
     # max(P, N) = (sum_j |c_j| + |sum_j c_j|) / 2 with P, N its positive and
@@ -459,8 +464,6 @@ def _exact_cut_norm(widths, values, with_witness=True):
         if vals[k] > best or (vals[k] == best and p < best_p):
             best = float(vals[k])
             best_p = p
-    if not with_witness:
-        return best, None, None
     s = _pattern_chunk(best_p, best_p + 1, m)[0]
     cols = s @ contrib
     plus_val = float(np.maximum(cols, 0.0).sum())
@@ -647,7 +650,7 @@ def cut_norm_forms(w: StepGraphon) -> CutNormForms:
         raise CapacityError(
             f"cut norm forms capped at {CUT_NORM_FORMS_MAX_BLOCKS} blocks, got {m}"
         )
-    two_set, _, _ = _exact_cut_norm(w.widths, w.values, with_witness=False)
+    two_set, _, _ = _exact_cut_norm(w.widths, w.values)
     return CutNormForms(
         two_set=two_set,
         complement=_complement_form(w.widths, w.values),

@@ -31,6 +31,7 @@ VERTEX_ENUM_MAX_BLOCKS = 20
 _BISECTION_BLOCK_ENTRIES = 1 << 20
 
 _TIE_TOL = 1e-12
+_PLATEAU_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -756,23 +757,22 @@ class PlateauResult:
     changed: bool
 
 
-def sharpen_plateau(
-    theta: ThetaField, model: LabelModel = None, plateau_tol=1e-9
-) -> PlateauResult:
+def sharpen_plateau(theta: ThetaField, model: LabelModel = None) -> PlateauResult:
     """Replace half-valued plateaus of a half-graph field by better spin data.
 
-    A plateau must consist of matching runs R in the second half and R - 1/2
-    in the first half.  Each run is split at the 2/3 point (refining the grid
-    threefold when the run length is not divisible by 3); of the two mirrored
-    spin fillings, the one with the strictly smaller half-graph energy is
-    kept.  Fields without a plateau are returned unchanged with a flag.
+    A plateau is the set of cells within 1e-9 of one half; it must consist
+    of matching runs R in the second half and R - 1/2 in the first half.
+    Each run is split at the 2/3 point (refining the grid threefold when the
+    run length is not divisible by 3); of the two mirrored spin fillings,
+    the one with the strictly smaller half-graph energy is kept.  Fields
+    without a plateau are returned unchanged with a flag.
     """
     model = model or LabelModel.spin()
     x = _plus_weights(theta, model, "sharpen_plateau")
     m = theta.m
     if m % 2 != 0:
         raise ParameterError("half-graph fields need an even cell count")
-    mask = np.abs(x - 0.5) <= plateau_tol
+    mask = np.abs(x - 0.5) <= _PLATEAU_TOL
     if not np.any(mask):
         return PlateauResult(theta, False)
     half = m // 2

@@ -10,8 +10,10 @@ import pytest
 
 from graphlim import fileio
 from graphlim.cli import main
+from graphlim.errors import ParameterError
 from graphlim.experiments import CSV_HEADER, ExperimentConfig, run_converge
-from graphlim.graphons import ConstantKernel
+from graphlim.functionals import cell_averages
+from graphlim.graphons import ConstantKernel, HalfGraphKernel, StepGraphon
 
 
 def run(capsys, *argv):
@@ -518,3 +520,46 @@ def test_run_converge_partial_flush(tmp_path, monkeypatch):
     assert lines[0] == CSV_HEADER and len(lines) == 2
     assert lines[1].startswith("8,")
     assert solved == [8, 10]
+
+
+def test_converge_near_grid_boundary_is_not_exact():
+    # the split at 0.3 + 5e-10 is 5e-9 cells off the 10-cell grid, which
+    # cell_averages rejects, so the labeled gap is not the exact gap either
+    gamma = 0.3000000005
+    with pytest.raises(ParameterError, match="align"):
+        cell_averages(StepGraphon([gamma, 1.0 - gamma], [[0.0, 1.0], [1.0, 0.0]]), 10)
+    for g, flag in ((gamma, False), (0.3, True)):
+        config = ExperimentConfig(family="bipartite", ns=(10,), grid=10, gamma=g, restarts=2)
+        (row,) = run_converge(config)
+        assert row.cutnorm_exact is flag
+
+
+def test_cutnorm_exact_flag_follows_the_grid_rule(tmp_path, capsys):
+    gpath, kpath, spath = tmp_path / "g.json", tmp_path / "k.json", tmp_path / "s.json"
+    run(capsys, "gen", "--family", "blocks", "--lambdas", "0.45,0.35,0.2", "--n", "20",
+        "--out", str(gpath), "--limit-out", str(kpath))
+    run(capsys, "graphon", "--graph", str(gpath), "--out", str(spath))
+    half = tmp_path / "h.json"
+    fileio.write_graphon(half, HalfGraphKernel())
+    cases = [
+        (kpath, True),  # blocks of 9, 7 and 4 cells
+        (None, True),
+        (spath, True),  # a step file is subtracted block by block
+        (half, False),  # not a step kernel
+    ]
+    for b, exact in cases:
+        argv = ["cutnorm", "--a", str(spath)] + (["--b", str(b)] if b else [])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["exact"] is exact
+
+
+def test_solve_discrete_sizes_need_local_search(tmp_path, capsys):
+    gpath = tmp_path / "h.json"
+    run(capsys, "gen", "--family", "halfgraph", "--n", "8", "--out", str(gpath))
+    argv = ["solve-discrete", "--graph", str(gpath), "--sizes", "3,5"]
+    code, _, err = run(capsys, *argv, "--method", "brute")
+    assert code == 2 and "--sizes" in err
+    code, out, _ = run(capsys, *argv, "--method", "local")
+    assert code == 0
+    assert sorted(json.loads(out)["labels"]).count(1) in (3, 5)

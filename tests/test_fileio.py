@@ -134,6 +134,27 @@ def test_theta_rejects_missing_header(tmp_path):
         fileio.read_theta(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "cell,theta_1,theta_2\n2,0.5,0.5\n1,1.0,0.0\n",  # cells out of order
+        "cell,theta_1,theta_2\n1,0.5,0.5\n1,1.0,0.0\n",  # a repeated cell
+        "cell,theta_1,theta_2\n1,0.5,0.5\n3,1.0,0.0\n",  # a missing cell
+        "cell,theta_1\n1,0.5,0.5\n2,1.0,0.0\n",  # rows wider than the header
+        "cell,theta_1,theta_2\n1,0.5,0.5\n2,1.0\n",  # a short row
+        "cell,theta_2,theta_1\n1,0.5,0.5\n",  # labels out of order
+        "cell\n1\n",  # no label column
+        "cell,weight_1,weight_2\n1,0.5,0.5\n",
+    ],
+    ids=["order", "repeat", "gap", "wide", "short", "labels", "empty", "names"],
+)
+def test_theta_rejects_rows_off_the_header(tmp_path, text):
+    path = tmp_path / "theta.csv"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match="theta file"):
+        fileio.read_theta(path)
+
+
 def test_write_is_byte_deterministic(tmp_path):
     w = step_from_graph(halfgraph(6).graph)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

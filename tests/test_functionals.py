@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlim.errors import InfeasibleError, ParameterError
 from graphlim.families import complete, halfgraph
@@ -20,6 +22,7 @@ from graphlim.graphons import (
     ConstantKernel,
     HalfGraphKernel,
     StepGraphon,
+    StepKernel,
     step_from_graph,
 )
 from graphlim.solvers import project_box_mean
@@ -361,6 +364,59 @@ def test_block_reduce_misalignment_error():
     th = ThetaField.constant([0.5, 0.5], 7)
     with pytest.raises(ParameterError):
         block_reduce((0.45, 0.35, 0.2), th)
+
+
+# ---------------------------------------------------------------------------
+# the grid rule: one test of "these blocks sit on the m-cell grid"
+
+
+@st.composite
+def near_grid_partitions(draw):
+    """(m, boundaries, offsets): 1-5 blocks, each inner boundary k/m + delta."""
+    m = draw(st.integers(1, 40))
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=4))) if m > 1 else []
+    offsets = [
+        draw(st.sampled_from((0.0, 0.3e-9 / m, -0.3e-9 / m, 5e-10, -5e-10, 3e-9, -3e-9)))
+        for _ in cuts
+    ]
+    inner = [k / m + d for k, d in zip(cuts, offsets)]
+    return m, np.asarray([0.0, *inner, 1.0]), offsets
+
+
+def _accepts(call):
+    try:
+        call()
+    except ParameterError:
+        return False
+    return True
+
+
+@given(near_grid_partitions())
+@settings(max_examples=300, deadline=None)
+def test_grid_rule_shared_by_cell_averages_kernels_and_block_reduce(case):
+    m, boundaries, offsets = case
+    widths = np.diff(boundaries)
+    values = np.eye(widths.size)
+    step = StepGraphon(widths, values)
+    on_grid = StepKernel(boundaries, values).is_step_on(m)
+    assert step.is_step_on(m) == on_grid
+    assert _accepts(lambda: cell_averages(step, m)) == on_grid
+    th = ThetaField.constant([0.5, 0.5], m)
+    assert _accepts(lambda: block_reduce(widths, th)) == on_grid
+    # away from the rule's own edge the answer is known: |delta| m <= 1e-9
+    scaled = [abs(d) * m for d in offsets]
+    if all(s < 0.5e-9 for s in scaled):
+        assert on_grid
+    if any(s > 1.5e-9 for s in scaled):
+        assert not on_grid
+
+
+def test_analytic_kernels_sit_on_no_grid():
+    for m in (1, 2, 12):
+        assert not HalfGraphKernel().is_step_on(m)
+    assert ConstantKernel(0.5).is_step_on(7)
+    assert BlockDiagonalKernel((0.45, 0.35, 0.2)).is_step_on(20)
+    assert not BlockDiagonalKernel((0.45, 0.35, 0.2)).is_step_on(10)
 
 
 # ---------------------------------------------------------------------------

@@ -496,6 +496,29 @@ def test_cut_norm_l1_bound():
         assert cut_norm(w).value <= w.l1_norm() + 1e-12
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        ConstantKernel(0.5),
+        HalfGraphKernel(),
+        BlockDiagonalKernel([0.45, 0.35, 0.2]),
+        BipartiteSplitKernel(0.3),
+        CheckerboardKernel(2),
+    ],
+    ids=lambda k: k.kind,
+)
+def test_step_minus_analytic_averages_on_the_step_grid(kernel):
+    for k in (1, 4, 7, 20):
+        vals = philox(k).random((k, k)).round()
+        step = StepGraphon(np.full(k, 1.0 / k), np.maximum(vals, vals.T))
+        diff = step - kernel
+        ref = step - kernel.step_on(k)
+        assert diff.widths.tobytes() == ref.widths.tobytes()
+        assert diff.values.tobytes() == ref.values.tobytes()
+    with pytest.raises(ParameterError, match="equal-width step grid"):
+        StepGraphon([0.25, 0.75], np.eye(2)) - kernel
+
+
 def test_complete_graph_convergence_is_exactly_one_over_n():
     for n in (2, 4, 8, 16):
         inst = complete(n)
