@@ -44,12 +44,16 @@ _MOTIFS = {
 }
 
 
-def _common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    parser.add_argument("--out", help="write data to this path instead of stdout")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default=None, help="output format"
-    )
+_SHARED_FLAGS = {
+    "seed": dict(type=int, default=0, help="master seed (default 0)"),
+    "out": dict(help="write data to this path instead of stdout"),
+    "format": dict(choices=("csv", "json"), default=None, help="output format"),
+}
+
+
+def _common(parser, *names):
+    for name in names:
+        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def _parse_floats(text):
@@ -66,9 +70,8 @@ def _parse_ints(text):
         raise ParameterError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _emit(args, payload, default_format="json"):
-    fmt = args.format or default_format
-    if fmt == "json":
+def _emit(args, payload):
+    if args.format != "csv":
         text = fileio.dumps(payload)
     else:
         lines = []
@@ -92,8 +95,6 @@ def _emit(args, payload, default_format="json"):
 def _cmd_gen(args):
     if args.family == "checkerboard":
         kernel = families.checkerboard(args.n)
-        if not args.out:
-            raise ParameterError("gen --family checkerboard requires --out")
         fileio.write_graphon(args.out, kernel)
         return EXIT_OK
     if args.family == "wrandom":
@@ -105,8 +106,6 @@ def _cmd_gen(args):
         lambdas = _parse_floats(args.lambdas) if args.lambdas else ()
         inst = family_instance(args.family, args.n, args.gamma, lambdas)
         graph, limit = inst.graph, inst.limit
-    if not args.out:
-        raise ParameterError("gen requires --out for the graph file")
     fileio.write_graph(args.out, graph)
     if args.limit_out:
         fileio.write_graphon(args.limit_out, limit)
@@ -115,11 +114,7 @@ def _cmd_gen(args):
 
 def _cmd_graphon(args):
     graph = fileio.read_graph(args.graph)
-    step = step_from_graph(graph)
-    if args.out:
-        fileio.write_graphon(args.out, step)
-    else:
-        sys.stdout.write(fileio.dumps(fileio.graphon_to_dict(step)))
+    _emit(args, fileio.graphon_to_dict(step_from_graph(graph)))
     return EXIT_OK
 
 
@@ -149,9 +144,7 @@ def _cmd_cutnorm(args):
 
 def _cmd_homdensity(args):
     motif = _MOTIFS[args.motif]()
-    if bool(args.graph) == bool(args.graphon):
-        raise ParameterError("homdensity needs exactly one of --graph/--graphon")
-    if args.graph:
+    if args.graph is not None:
         graph = fileio.read_graph(args.graph)
         value = hom_density_graph(motif, graph)
         payload = {
@@ -225,8 +218,8 @@ def _cmd_kkt(args):
 
 def _config_from_args(args):
     # flags and config-file keys name the ExperimentConfig fields, with "n" for ns
-    keys = {f.name: f.name for f in dataclasses.fields(ExperimentConfig)}
-    keys["n"] = keys.pop("ns")
+    fields = dataclasses.fields(ExperimentConfig)
+    keys = {("n" if f.name == "ns" else f.name): f.name for f in fields}
     merged = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -236,10 +229,12 @@ def _config_from_args(args):
                 raise ParameterError(f"config file line {exc.lineno}: {exc.msg}") from exc
         if not isinstance(base, dict):
             raise ParameterError(f"config file {args.config}: expected a JSON object")
-        # keys that are not fields are ignored
-        merged = {keys[k]: v for k, v in base.items() if k in keys}
+        for k in base:
+            if k not in keys:
+                raise ParameterError(f"config field {k!r}: not one of {', '.join(keys)}")
+        merged = {keys[k]: v for k, v in base.items()}
     # flags override the file; what neither gives takes the ExperimentConfig default
-    parse = {"n": _parse_ints, "lambdas": _parse_floats, "masses": _parse_floats}
+    parse = {"n": _parse_ints, "lambdas": _parse_floats}
     for key, name in keys.items():
         flag = getattr(args, key)
         if flag not in (None, ""):
@@ -253,13 +248,15 @@ def _config_from_args(args):
 
 def _cmd_converge(args):
     config = _config_from_args(args)
+    # run_converge always writes CSV to config.out, so JSON goes to stdout only
+    if config.out is not None and args.format == "json":
+        raise ParameterError("converge writes CSV to --out; --format json is for stdout only")
     rows = run_converge(config)
     if config.out is None:
-        fmt = args.format or "csv"
-        if fmt == "csv":
-            sys.stdout.write(rows_to_csv(rows))
-        else:
+        if args.format == "json":
             sys.stdout.write(fileio.dumps([r.as_dict() for r in rows]))
+        else:
+            sys.stdout.write(rows_to_csv(rows))
     return EXIT_OK
 
 
@@ -281,27 +278,29 @@ def build_parser():
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--kernel", help="source graphon file for wrandom")
     p.add_argument("--limit-out", dest="limit_out", help="also write the limit kernel")
-    _common(p)
+    p.add_argument("--out", required=True, help="graph file (kernel file for checkerboard)")
+    _common(p, "seed")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("graphon", help="step graphon of a graph file")
     p.add_argument("--graph", required=True)
-    _common(p)
-    p.set_defaults(func=_cmd_graphon)
+    _common(p, "out")
+    p.set_defaults(func=_cmd_graphon, format="json")
 
     p = sub.add_parser("cutnorm", help="cut norm of a kernel or difference")
     p.add_argument("--a", required=True, help="step graphon file")
     p.add_argument("--b", help="kernel to subtract (step or analytic)")
     p.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
     p.add_argument("--restarts", type=int, default=32)
-    _common(p)
+    _common(p, "seed", "out", "format")
     p.set_defaults(func=_cmd_cutnorm)
 
     p = sub.add_parser("homdensity", help="homomorphism density of a motif")
     p.add_argument("--motif", required=True, choices=sorted(_MOTIFS))
-    p.add_argument("--graph")
-    p.add_argument("--graphon")
-    _common(p)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph")
+    source.add_argument("--graphon")
+    _common(p, "out", "format")
     p.set_defaults(func=_cmd_homdensity)
 
     p = sub.add_parser("solve-discrete", help="minimal balanced cuts of a graph")
@@ -309,7 +308,7 @@ def build_parser():
     p.add_argument("--method", choices=("brute", "local"), default="brute")
     p.add_argument("--sizes", help="comma-separated part sizes (--method local only)")
     p.add_argument("--restarts", type=int, default=8)
-    _common(p)
+    _common(p, "seed", "out", "format")
     p.set_defaults(func=_cmd_solve_discrete)
 
     p = sub.add_parser("solve-limit", help="minimize the continuum cut energy")
@@ -318,13 +317,13 @@ def build_parser():
     p.add_argument("--masses", default="0.5,0.5")
     p.add_argument("--method", choices=METHODS, default="pgd")
     p.add_argument("--restarts", type=int, default=8)
-    _common(p)
+    _common(p, "seed", "out", "format")
     p.set_defaults(func=_cmd_solve_limit)
 
     p = sub.add_parser("kkt", help="stationarity diagnostic of a spin field")
     p.add_argument("--graphon", required=True)
     p.add_argument("--theta", required=True)
-    _common(p)
+    _common(p, "out", "format")
     p.set_defaults(func=_cmd_kkt)
 
     p = sub.add_parser("converge", help="discrete-to-continuum convergence table")
@@ -333,13 +332,11 @@ def build_parser():
     p.add_argument("--grid", type=int)
     p.add_argument("--gamma", type=float)
     p.add_argument("--lambdas")
-    p.add_argument("--masses")
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--restarts", type=int)
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    _common(p, "out", "format")
     p.set_defaults(func=_cmd_converge)
 
     return parser

@@ -37,7 +37,6 @@ _NUMERIC_FIELDS = (
     ("grid", "grid", numbers.Integral, False),
     ("gamma", "gamma", numbers.Real, False),
     ("lambdas", "lambdas", numbers.Real, True),
-    ("masses", "masses", numbers.Real, True),
     ("restarts", "restarts", numbers.Integral, False),
     ("seed", "seed", numbers.Integral, False),
 )
@@ -50,7 +49,6 @@ class ExperimentConfig:
     grid: int = 48
     gamma: float = 0.5
     lambdas: tuple = ()
-    masses: tuple = (0.5, 0.5)
     method: str = "pgd"
     restarts: int = 8
     seed: int = 0
@@ -70,7 +68,6 @@ class ExperimentConfig:
             raise ParameterError(f"config field 'out': expected a path, got {self.out!r}")
         object.__setattr__(self, "ns", tuple(int(v) for v in self.ns))
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        object.__setattr__(self, "masses", tuple(float(v) for v in self.masses))
         if self.family not in FAMILY_IDS:
             raise ParameterError(
                 f"config field 'family': expected one of {FAMILY_IDS}, got {self.family!r}"
@@ -81,13 +78,6 @@ class ExperimentConfig:
             raise ParameterError("config field 'n': bisection needs even n >= 2")
         if self.grid < 2 or self.grid % 2 != 0:
             raise ParameterError("config field 'grid': must be even and >= 2")
-        # the discrete side always solves the balanced bisection, so a continuum
-        # minimum under other masses would be compared with the wrong problem
-        if self.masses != (0.5, 0.5):
-            raise ParameterError(
-                "config field 'masses': converge compares balanced bisections, "
-                f"so masses must be 0.5,0.5, got {self.masses}"
-            )
         if self.method not in METHODS:
             raise ParameterError(f"config field 'method': {' or '.join(METHODS)}")
         if self.restarts < 1:
@@ -204,7 +194,7 @@ def run_converge(config: ExperimentConfig):
     continuum = minimize_limit_energy(
         limit,
         LabelModel.spin(),
-        config.masses,
+        PartitionSpec.bisection().masses,
         config.grid,
         method=config.method,
         seed=config.seed,

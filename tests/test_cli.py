@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from graphlim import fileio
-from graphlim.cli import main
+from graphlim.cli import build_parser, main
 from graphlim.errors import ParameterError
 from graphlim.experiments import CSV_HEADER, ExperimentConfig, run_converge
 from graphlim.functionals import cell_averages
@@ -563,3 +564,69 @@ def test_solve_discrete_sizes_need_local_search(tmp_path, capsys):
     code, out, _ = run(capsys, *argv, "--method", "local")
     assert code == 0
     assert sorted(json.loads(out)["labels"]).count(1) in (3, 5)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["gen", "--family", "halfgraph", "--n", "8", "--format", "csv"], "--format"),
+        (["graphon", "--graph", "{graph}", "--format", "csv"], "--format"),
+        (["graphon", "--graph", "{graph}", "--seed", "3"], "--seed"),
+        (["homdensity", "--motif", "edge", "--graph", "{graph}", "--seed", "5"], "--seed"),
+        (["kkt", "--graphon", "{kernel}", "--theta", "{theta}", "--seed", "1"], "--seed"),
+        (["converge", "--family", "halfgraph", "--n", "8", "--grid", "8",
+          "--masses", "0.5,0.5"], "--masses"),
+        (["converge", "--config", "{cfg}"], "'restart'"),
+    ],
+    ids=["gen-format", "graphon-format", "graphon-seed", "homdensity-seed", "kkt-seed",
+         "converge-masses", "config-restart"],
+)
+def test_flags_and_config_keys_a_command_does_not_act_on_exit_2(tmp_path, capsys, argv, named):
+    # every argv but its one rejected flag or key runs on these valid files
+    from graphlim.fields import ThetaField
+
+    files = {k: str(tmp_path / k) for k in ("graph", "kernel", "theta", "cfg")}
+    fileio.write_graph(files["graph"], fileio.graph_from_dict({"n": 4, "edges": [[1, 2], [3, 4]]}))
+    fileio.write_graphon(files["kernel"], HalfGraphKernel())
+    fileio.write_theta(files["theta"], ThetaField(np.tile([0.5, 0.5], (4, 1))))
+    pathlib.Path(files["cfg"]).write_text(
+        json.dumps({"family": "halfgraph", "n": [8], "restart": 50})
+    )
+    out = tmp_path / "out.data"
+    code, stdout, err = run(capsys, *(a.format(**files) for a in argv), "--out", str(out))
+    assert code == 2 and named in err
+    assert not stdout and not out.exists()
+
+
+def test_converge_json_format_with_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    argv = ["converge", "--family", "halfgraph", "--n", "8", "--grid", "8", "--format", "json"]
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and "--out" in err and "--format json" in err
+    assert not stdout and not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "halfgraph", "n": [8], "grid": 8, "out": str(out)}))
+    code, stdout, err = run(capsys, "converge", "--config", str(cfg), "--format", "json")
+    assert code == 2 and not stdout and not out.exists()
+
+
+# every option each subcommand takes, besides -h/--help; a new flag is one edit here
+_FLAGS = {
+    "gen": "--family --n --lambdas --gamma --kernel --limit-out --out --seed",
+    "graphon": "--graph --out",
+    "cutnorm": "--a --b --mode --restarts --seed --out --format",
+    "homdensity": "--motif --graph --graphon --out --format",
+    "solve-discrete": "--graph --method --sizes --restarts --seed --out --format",
+    "solve-limit": "--graphon --grid --masses --method --restarts --seed --out --format",
+    "kkt": "--graphon --theta --out --format",
+    "converge": "--family --n --grid --gamma --lambdas --method --restarts --config "
+    "--seed --out --format",
+}
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(_FLAGS)
+    for name, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == set(_FLAGS[name].split()), name
