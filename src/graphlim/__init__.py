@@ -28,7 +28,6 @@ from .fields import (
 from .functionals import (
     BlockReduction,
     KKTReport,
-    QuadratureKernel,
     block_reduce,
     cell_averages,
     discrete_cut_energy,

@@ -76,7 +76,9 @@ def _emit(args, payload):
     else:
         lines = []
         for key, value in payload.items():
-            if isinstance(value, (list, tuple, np.ndarray)):
+            if value is None:
+                rendered = ""
+            elif isinstance(value, (list, tuple, np.ndarray)):
                 rendered = ";".join(fileio.format_float(v) for v in np.ravel(value))
             elif isinstance(value, bool):
                 rendered = "true" if value else "false"

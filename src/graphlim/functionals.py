@@ -19,43 +19,26 @@ from .graphons import AnalyticGraphon, BlockDiagonalKernel, Graph, StepGraphon
 _INTERIOR_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class QuadratureKernel:
-    """Exact cell averages of a kernel on the m-cell uniform grid."""
+def cell_averages(w, m: int) -> StepGraphon:
+    """Exact cell averages of the kernel w as a step graphon on m equal cells.
 
-    matrix: np.ndarray
-
-    @property
-    def m(self):
-        return self.matrix.shape[0]
-
-    def max_abs(self):
-        return float(np.abs(self.matrix).max())
-
-
-def cell_averages(w, m: int) -> QuadratureKernel:
-    """Build the m x m matrix of exact cell averages of the kernel w.
-
-    Step graphons require their block boundaries to sit on the grid; analytic
-    kernels integrate in closed form over every cell pair.
+    Analytic kernels integrate in closed form over every cell pair; a step
+    graphon must have its block boundaries on the grid, and one that already
+    has m equal cells is returned as it is.
     """
     if m < 1:
         raise ParameterError(f"grid must have at least one cell, got {m}")
-    if isinstance(w, QuadratureKernel):
-        if w.m != m:
-            raise ParameterError(f"kernel is on a {w.m}-cell grid, requested {m}")
-        return w
     if isinstance(w, StepGraphon):
         if not w.is_step_on(m):
             raise ParameterError(
                 "step graphon blocks do not align with the requested grid"
             )
-        mids = (np.arange(m) + 0.5) / m
-        idx = w.block_index(mids)
-        return QuadratureKernel(w.values[np.ix_(idx, idx)].astype(float))
+        if w.block_count == m and w.equal_width():
+            return w
+        idx = w.block_index((np.arange(m) + 0.5) / m)
+        return StepGraphon(np.full(m, 1.0 / m), w.values[np.ix_(idx, idx)])
     if isinstance(w, AnalyticGraphon):
-        step = w.step_on(m)
-        return QuadratureKernel(step.values)
+        return w.step_on(m)
     raise ParameterError(f"unsupported kernel object {type(w).__name__}")
 
 
@@ -104,7 +87,7 @@ def limit_cut_energy(w, theta, model: LabelModel) -> float:
     if nlab != model.n_labels:
         raise ParameterError("field and model disagree on the number of labels")
     kernel = cell_averages(w, m)
-    mixed = np.swapaxes(weights, -1, -2) @ kernel.matrix @ weights
+    mixed = np.swapaxes(weights, -1, -2) @ kernel.values @ weights
     energy = (model.coupling * mixed).sum(axis=(-2, -1)) / (m * m)
     return float(energy) if energy.ndim == 0 else energy
 
@@ -117,7 +100,7 @@ def limit_energy_gradient(w, theta, model: LabelModel) -> np.ndarray:
     weights = _weights_of(theta, stacked=True)
     m = weights.shape[-2]
     kernel = cell_averages(w, m)
-    return (2.0 / (m * m)) * (kernel.matrix @ weights @ model.coupling)
+    return (2.0 / (m * m)) * (kernel.values @ weights @ model.coupling)
 
 
 def spin_energy_gradient(w, theta, model: LabelModel = None) -> np.ndarray:
@@ -130,7 +113,7 @@ def spin_energy_gradient(w, theta, model: LabelModel = None) -> np.ndarray:
     x = _plus_weights(theta, model, "spin_energy_gradient")
     m = x.size
     kernel = cell_averages(w, m)
-    return (8.0 / (m * m)) * (kernel.matrix @ (1.0 - 2.0 * x))
+    return (8.0 / (m * m)) * (kernel.values @ (1.0 - 2.0 * x))
 
 
 @dataclass(frozen=True)
@@ -152,7 +135,7 @@ def kkt_residual(w, theta, model: LabelModel = None) -> KKTReport:
     x = _plus_weights(theta, model, "kkt_residual")
     m = x.size
     kernel = cell_averages(w, m)
-    phi = kernel.matrix @ (1.0 - 2.0 * x) / m
+    phi = kernel.values @ (1.0 - 2.0 * x) / m
     interior = (x > _INTERIOR_TOL) & (x < 1.0 - _INTERIOR_TOL)
     if not np.any(interior):
         return KKTReport(phi, None, 0.0, True)

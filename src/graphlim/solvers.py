@@ -313,15 +313,14 @@ def project_polytope(y, masses):
     active label add no curvature; the shift keeps steps along such flat
     directions about as long as the spread of y, and vanishes with r.
 
-    A label whose column is empty with its target met (a zero mass) has
-    settled, often with no margin left after losing its last entry.  The
-    labels joined by shared active rows form components, L is flat along
-    each component's indicator, and near the solution each component's
-    residual sum is zero but for rounding; divided by the tiny shift there,
-    that rounding would move whole components against the settled label,
-    wake it and stall the line search.  So while a label has settled, every
-    component whose residual sum is within the stopping test has its mean
-    residual taken out of r.
+    A label whose target m * mass is within the stopping test is cut: every
+    row gives it its mass, clipped at 0, and the other labels make a problem
+    of their own on rows that sum to the rest s, solved as s times the
+    projection of y / s.  A zero mass is cut to an exactly zero column with
+    s = 1, and that is the projection itself: on the feasible set its column
+    is zero, so ||x - y||^2 splits into the column's squared norm and the
+    distance over the other labels.  Raises InfeasibleError when no label
+    is left.
 
     A step is halved until the dual still rises at its end, <r, step> >= 0,
     a test on residuals that rounding of the dual value cannot upset.  All
@@ -330,10 +329,17 @@ def project_polytope(y, masses):
     steps do not get a problem there.
     """
     y = np.asarray(y, dtype=float)
-    m, nlab = y.shape[-2:]
-    ys = y.reshape(-1, m, nlab)
-    target = m * np.asarray(masses, dtype=float)
+    m = y.shape[-2]
+    masses = np.asarray(masses, dtype=float)
     tol = 1e-12 * m
+    kept = np.abs(m * masses) > tol
+    if not kept.any():
+        raise InfeasibleError("every mass is within the stopping test of zero")
+    fill = np.where(kept, 0.0, np.maximum(masses, 0.0))
+    rest = 1.0 - fill.sum()
+    target = m * (masses[kept] / rest)
+    nlab = target.size
+    ys = np.compress(kept, y, axis=-1).reshape(-1, m, nlab) / rest
     eye = np.eye(nlab)
     spread = np.ptp(ys, axis=(1, 2)) + 1.0
     out = np.empty_like(ys)
@@ -355,23 +361,15 @@ def project_polytope(y, masses):
             out[live[done]] = x[done]
             live, mu, x, resid = live[~done], mu[~done], x[~done], resid[~done]
         if live.size == 0:
-            return out.reshape(y.shape)
+            full = np.zeros(y.shape) + fill
+            full[..., kept] = rest * out.reshape(y.shape[:-1] + (nlab,))
+            return full
         a = (x > 0.0).astype(float)
         count = a.sum(axis=1)
         share = (a / a.sum(axis=2, keepdims=True)).swapaxes(1, 2) @ a
         lap = count[:, :, None] * eye - share
-        rhs = resid
-        settled = np.any((count == 0.0) & (np.abs(resid) <= tol), axis=1)
-        if settled.any():
-            # reach[k, l]: a chain of shared active rows joins labels k and l
-            reach = (share > 0.0) | (eye > 0.0)
-            for _ in range(nlab.bit_length()):
-                reach = reach @ reach
-            flat = np.where(reach, resid[:, None, :], 0.0).sum(axis=2)
-            idle = settled[:, None] & (np.abs(flat) <= tol)
-            rhs = np.where(idle, resid - flat / reach.sum(axis=2), resid)
         shift = _row_max(np.abs(resid)) / spread[live]
-        step = np.linalg.solve(lap + shift[:, None, None] * eye, rhs[..., None])[..., 0]
+        step = np.linalg.solve(lap + shift[:, None, None] * eye, resid[..., None])[..., 0]
         # a constant shift of mu leaves every row unchanged
         step -= step.mean(axis=1, keepdims=True)
         t = np.ones(live.size)
@@ -540,7 +538,8 @@ def _pgd(kernel_q, model, feasible, x, max_iters, tol):
     # energy call over every live row.  A row starting an iteration adds its
     # stop-test point x - g and its first trial x - g / L; a row in its line
     # search adds its next halved trial.
-    lip = 2.0 * float(np.abs(model.coupling).sum()) * kernel_q.max_abs() / kernel_q.m
+    kernel_max = float(np.abs(kernel_q.values).max())
+    lip = 2.0 * float(np.abs(model.coupling).sum()) * kernel_max / kernel_q.block_count
     step = 1.0 / lip if lip > 0 else 1.0
     energy = limit_cut_energy(kernel_q, feasible.weights(x), model)
     iters = np.zeros(len(x), dtype=int)

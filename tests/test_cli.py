@@ -189,6 +189,19 @@ assert main(gen) == 0
 for method in ("pgd", "frank_wolfe"):
     assert main(["solve-limit", "--graphon", out + "/k.json", "--masses", "0.5,0.25,0.25",
                  "--grid", "4", "--method", method, "--restarts", "2"]) == 0
+# a zero mass gets an exactly empty column
+import json
+assert main(["gen", "--family", "halfgraph", "--n", "22", "--out", out + "/h.json",
+             "--limit-out", out + "/hk.json"]) == 0
+def solve(masses, method):
+    assert main(["solve-limit", "--graphon", out + "/hk.json", "--masses", masses, "--grid", "4",
+                 "--method", method, "--restarts", "2", "--out", out + "/z.json"]) == 0
+    with open(out + "/z.json") as fh:
+        return json.load(fh)
+for method in ("pgd", "frank_wolfe"):
+    r = solve("0,0,1", method)
+    assert r["value"] == 0 and all(row == [0, 0, 1] for row in r["theta"])
+    assert all(row[2] == 0 for row in solve("0.5,0.5,0", method)["theta"])
 """
 
 
@@ -466,6 +479,27 @@ def test_cutnorm_csv_format(tmp_path, capsys):
     lines = dict(ln.split(",", 1) for ln in out.strip().splitlines())
     assert float(lines["value"]) == 0.125
     assert lines["exact"] == "true"
+
+
+def test_csv_renders_a_missing_value_empty(tmp_path, capsys):
+    # JSON writes null for the discrete residual and for the multiplier of a
+    # field with no interior cell; CSV leaves the value empty
+    from graphlim.fields import ThetaField
+
+    gpath, kpath, tpath = tmp_path / "g.json", tmp_path / "half.json", tmp_path / "theta.csv"
+    run(capsys, "gen", "--family", "halfgraph", "--n", "4", "--out", str(gpath))
+    fileio.write_graphon(kpath, HalfGraphKernel())
+    fileio.write_theta(tpath, ThetaField(np.array([[1.0, 0.0], [0.0, 1.0]])))
+    commands = {
+        "residual": ["solve-discrete", "--graph", str(gpath), "--method", "brute"],
+        "multiplier": ["kkt", "--graphon", str(kpath), "--theta", str(tpath)],
+    }
+    for key, argv in commands.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)[key] is None
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert f"\n{key},\n" in "\n" + out
 
 
 def test_converge_csv_numbers_round_trip(tmp_path):

@@ -41,15 +41,29 @@ def optimal_halfgraph_field(m=12):
 
 
 # ---------------------------------------------------------------------------
-# quadrature kernels
+# cell averages
+
+
+def _is_grid_step(k, m):
+    return isinstance(k, StepGraphon) and k.block_count == m and k.equal_width()
 
 
 def test_cell_averages_step_alignment_error():
-    w = StepGraphon([1 / 3, 2 / 3], np.array([[1.0, 0.0], [0.0, 1.0]]))
+    w = StepGraphon([1 / 3, 2 / 3], np.array([[1.0, 0.0], [0.0, 0.25]]))
     with pytest.raises(ParameterError):
         cell_averages(w, 4)
     k = cell_averages(w, 6)
-    assert k.matrix[0, 0] == 1.0 and k.matrix[0, 3] == 0.0
+    assert k.values[0, 0] == 1.0 and k.values[0, 3] == 0.0
+    # the block lookup: each block's value spread over its 2 and 4 cells
+    spread = np.repeat(np.repeat(w.values, [2, 4], axis=0), [2, 4], axis=1)
+    assert _is_grid_step(k, 6) and k.values.tobytes() == spread.tobytes()
+    # a step graphon on m equal cells is its own cell averages, on that grid
+    # and when it is averaged again
+    assert cell_averages(k, 6) is k
+    grid = StepGraphon(np.full(5, 0.2), random_step_graphon(3, 5).values)
+    assert cell_averages(grid, 5) is grid
+    finer = cell_averages(grid, 10)
+    assert finer.values.tobytes() == np.repeat(np.repeat(grid.values, 2, 0), 2, 1).tobytes()
 
 
 @pytest.mark.parametrize("m", [0, -2])
@@ -64,9 +78,42 @@ def test_grid_without_cells_rejected(m):
 def test_cell_averages_halfgraph_exact():
     k = cell_averages(HalfGraphKernel(), 4)
     # cell pair ((0,.25),(0.5,.75)) straddles the band boundary: half covered
-    assert k.matrix[0, 2] == pytest.approx(0.5, abs=1e-15)
-    assert k.matrix[0, 3] == pytest.approx(1.0, abs=1e-15)
-    assert np.array_equal(k.matrix, k.matrix.T)
+    assert k.values[0, 2] == pytest.approx(0.5, abs=1e-15)
+    assert k.values[0, 3] == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(k.values, k.values.T)
+    assert _is_grid_step(k, 4)
+    assert k.values.tobytes() == HalfGraphKernel().step_on(4).values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "w, m",
+    [
+        (HalfGraphKernel(), 7),
+        (BlockDiagonalKernel([0.5, 0.25, 0.25]), 8),
+        (StepGraphon([0.25, 0.75], [[0.0, 1.0], [1.0, 0.5]]), 8),
+        (StepGraphon(np.full(6, 1 / 6), random_step_graphon(11, 6, signed=True).values), 6),
+    ],
+)
+def test_cell_averages_stand_in_for_their_kernel(w, m):
+    # energies, gradients and the KKT report read only the cell averages
+    k = cell_averages(w, m)
+    assert _is_grid_step(k, m)
+    rng = philox(m)
+    three = LabelModel([0, 1, 2], [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    raw = rng.random((3, m, 3))
+    fields = [(raw / raw.sum(axis=2, keepdims=True), three)]
+    x = rng.random((3, m))
+    fields.append((np.stack((x, 1.0 - x), axis=-1), spin))
+    for theta, model in fields:
+        for f in (limit_cut_energy, limit_energy_gradient):
+            assert np.asarray(f(w, theta, model)).tobytes() == np.asarray(
+                f(k, theta, model)
+            ).tobytes()
+    for row in x:
+        th = ThetaField(np.column_stack((row, 1.0 - row)))
+        a, b = kkt_residual(w, th), kkt_residual(k, th)
+        assert a.phi.tobytes() == b.phi.tobytes()
+        assert (a.multiplier, a.residual, a.vacuous) == (b.multiplier, b.residual, b.vacuous)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +200,7 @@ def test_limit_energy_spin_reduction_formula():
         th = ThetaField(np.column_stack((x, 1 - x)))
         base = random_step_graphon(seed, m)
         w = StepGraphon(np.full(m, 1.0 / m), base.values)
-        kernel = cell_averages(w, m).matrix
+        kernel = cell_averages(w, m).values
         reduced = 8.0 / (m * m) * float(x @ kernel @ (1.0 - x))
         assert limit_cut_energy(w, th, spin) == pytest.approx(reduced, abs=1e-12)
 
@@ -223,7 +270,7 @@ def test_spin_gradient_at_zero_field_tracks_cell_degree():
     th = ThetaField(np.column_stack((np.zeros(m), np.ones(m))))
     g = spin_energy_gradient(HalfGraphKernel(), th)
     kernel = cell_averages(HalfGraphKernel(), m)
-    degrees = kernel.matrix.mean(axis=1)
+    degrees = kernel.values.mean(axis=1)
     assert np.allclose(g, 8.0 * degrees / m, atol=1e-15)
     # matches the tied central difference
     h = 1e-6

@@ -438,11 +438,22 @@ def test_projection_polytope_is_the_projection():
     assert np.abs(x[:, 1] - [0.995, 0.745]).max() <= 1e-12
 
 
+# masses within the projection's stopping test of zero
+_SMALL_MASS = st.sampled_from([0.0, 1e-12, 1e-16, 5e-324]) | st.floats(0.0, 1e-12)
+
+
 def _random_masses(draw, nlab):
+    # up to nlab - 1 labels get a small mass and the others share the rest
+    small = draw(st.lists(_SMALL_MASS, max_size=nlab - 1))
+    at = draw(st.permutations(range(nlab)))[: len(small)]
     raw = draw(st.lists(st.floats(0.0, 1.0), min_size=nlab, max_size=nlab))
-    if sum(raw) == 0.0:
-        raw[0] = 1.0
-    return np.asarray(raw) / sum(raw)
+    raw = np.asarray(raw)
+    raw[at] = 0.0
+    if raw.sum() == 0.0:
+        raw[np.setdiff1d(np.arange(nlab), at)[0]] = 1.0
+    masses = raw / raw.sum() * (1.0 - sum(small))
+    masses[at] = small
+    return masses
 
 
 @st.composite
@@ -454,17 +465,19 @@ def polytope_inputs(draw):
     return y, _random_masses(draw, nlab), scale
 
 
-# a zero-mass column loses its last active entry at Newton step 6; the
-# rounding left in the other columns' residual sum then drove long steps
-# that woke it again, and the line search stalled until the step cap
+# kept in the Newton loop, the zero-mass column loses its last active entry
+# at step 6; the rounding left in the other columns' residual sum then drives
+# long steps that wake it again, and the line search stalls until the step
+# cap.  The same holds for a mass of 1e-16 in its place.
 _STALLED_SCALE = 6.152654101490373
 _STALLED_MASSES = np.array(
     [0.44970414201183434, 0.4378698224852071, 0.11242603550295859, 0.0]
 )
+_STALLED_Y = _STALLED_SCALE * philox(1).normal(size=(4, 4))
 
 
 @given(polytope_inputs())
-@example((_STALLED_SCALE * philox(1).normal(size=(4, 4)), _STALLED_MASSES, _STALLED_SCALE))
+@example((_STALLED_Y, _STALLED_MASSES, _STALLED_SCALE))
 @settings(max_examples=300, deadline=None)
 def test_projection_polytope_properties(case):
     y, masses, scale = case
@@ -478,6 +491,32 @@ def test_projection_polytope_properties(case):
     # polytope, and the exact oracle finds the smallest left-hand side
     v = transport_lmo(x - y, m * masses)
     assert float(np.vdot(x - y, v - x)) >= -1e-9 * scale
+
+
+@given(polytope_inputs())
+@example((_STALLED_Y, _STALLED_MASSES, _STALLED_SCALE))
+@example((_STALLED_Y, _STALLED_MASSES + [0.0, 0.0, -1e-16, 1e-16], _STALLED_SCALE))
+@settings(max_examples=300, deadline=None)
+def test_projection_polytope_cuts_small_masses(case):
+    # a label with a small mass is cut: its column is its mass in every row,
+    # exactly 0.0 for a zero mass, and the other labels make a problem of
+    # their own with rows summing to the rest
+    y, masses, _ = case
+    m = y.shape[0]
+    x = project_polytope(y, masses)
+    cut = np.abs(m * masses) <= 1e-12 * m
+    assert np.all(x[:, cut] == masses[cut])
+    assert np.all(x[:, masses == 0.0] == 0.0)
+    rest = 1.0 - masses[cut].sum()
+    reduced = rest * project_polytope(y[:, ~cut] / rest, masses[~cut] / rest)
+    assert np.ascontiguousarray(x[:, ~cut]).tobytes() == reduced.tobytes()
+    assert np.abs(x.sum(axis=0) - m * masses).max() <= 1e-12 * m
+
+
+@pytest.mark.parametrize("masses", [(0.0, 0.0, 0.0), (1e-12, 0.0, 5e-13), (-1e-12, 1e-300)])
+def test_projection_polytope_rejects_masses_all_cut(masses):
+    with pytest.raises(InfeasibleError):
+        project_polytope(np.zeros((4, len(masses))), masses)
 
 
 def test_projection_polytope_rejects_unreachable_means():
@@ -744,7 +783,8 @@ def _pgd_lockstep(kernel_q, model, feasible, x, max_iters, tol):
     # reference: the loop that kept every row in step, with one stop-test
     # projection per outer iteration and then halvings until the slowest
     # row's line search ends
-    lip = 2.0 * float(np.abs(model.coupling).sum()) * kernel_q.max_abs() / kernel_q.m
+    kernel_max = float(np.abs(kernel_q.values).max())
+    lip = 2.0 * float(np.abs(model.coupling).sum()) * kernel_max / kernel_q.block_count
     step = 1.0 / lip if lip > 0 else 1.0
     energy = limit_cut_energy(kernel_q, feasible.weights(x), model)
     iters = np.zeros(len(x), dtype=int)
@@ -866,7 +906,7 @@ def test_pgd_monotone_descent_trace():
         return limit_cut_energy(kernel_q, np.column_stack((x, 1.0 - x)), spin)
 
     energies = [energy(x)]
-    step = 24 / (16.0 * np.abs(kernel_q.matrix).max())
+    step = 24 / (16.0 * np.abs(kernel_q.values).max())
     for _ in range(60):
         full = limit_energy_gradient(kernel_q, np.column_stack((x, 1.0 - x)), spin)
         x = project_box_mean(x - step * (full[:, 0] - full[:, 1]), 0.5)
