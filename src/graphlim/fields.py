@@ -73,13 +73,8 @@ class LabelModel:
 
     @property
     def is_spin(self):
-        return self.n_labels == 2 and set(self.labels) == {1.0, -1.0}
-
-    @property
-    def plus_index(self) -> int:
-        if not self.is_spin:
-            raise ParameterError("plus_index is defined for spin models only")
-        return self.index_of(1.0)
+        """Whether this is `spin()`: labels (1, -1) in that order, coupling 4 between them."""
+        return self.labels == (1.0, -1.0) and np.array_equal(self.coupling, [[0, 4], [4, 0]])
 
 
 @dataclass

@@ -51,15 +51,12 @@ def _weights_of(theta, stacked=False):
     return arr
 
 
-def _plus_weights(theta, model, caller):
-    """Plus-label weights of a two-label field under a spin model (the default)."""
-    model = model or LabelModel.spin()
-    if not model.is_spin:
-        raise ParameterError(f"{caller} is defined for the spin model")
+def _plus_weights(theta, caller):
+    """Plus-label weights of a spin field: column 0, as `LabelModel.spin()` orders it."""
     weights = _weights_of(theta)
     if weights.shape[1] != 2:
         raise ParameterError(f"{caller} needs a two-label field, got {weights.shape[1]} labels")
-    return weights[:, model.plus_index]
+    return weights[:, 0]
 
 
 def discrete_cut_energy(g: Graph, u, model: LabelModel) -> float:
@@ -76,44 +73,59 @@ def discrete_cut_energy(g: Graph, u, model: LabelModel) -> float:
     return total / (g.n * g.n)
 
 
+def _checked(w, theta, model):
+    # the one check of an energy or gradient call: w's cell averages on theta's grid
+    weights = _weights_of(theta, stacked=True)
+    if weights.shape[-1] != model.n_labels:
+        raise ParameterError("field and model disagree on the number of labels")
+    return cell_averages(w, weights.shape[-2]).values, weights
+
+
+def _grid_energy(kernel, weights, coupling):
+    # kernel is the checked m x m cell-average matrix, so kernel.size is m^2;
+    # the solver loops call this and _grid_gradient directly
+    mixed = np.swapaxes(weights, -1, -2) @ kernel @ weights
+    energy = (coupling * mixed).sum(axis=(-2, -1)) / kernel.size
+    return float(energy) if energy.ndim == 0 else energy
+
+
+def _grid_gradient(kernel, weights, coupling):
+    return (2.0 / kernel.size) * (kernel @ weights @ coupling)
+
+
 def limit_cut_energy(w, theta, model: LabelModel) -> float:
     """Continuum cut energy sum_hk f_hk <theta_h, Wbar theta_k> / m^2.
 
     theta may also be a stack (..., m, N) of weight matrices; the result is
     then the array of their energies, each equal to that of its field alone.
+    The field needs one weight per label and w cell averages on its grid.
     """
-    weights = _weights_of(theta, stacked=True)
-    m, nlab = weights.shape[-2:]
-    if nlab != model.n_labels:
-        raise ParameterError("field and model disagree on the number of labels")
-    kernel = cell_averages(w, m)
-    mixed = np.swapaxes(weights, -1, -2) @ kernel.values @ weights
-    energy = (model.coupling * mixed).sum(axis=(-2, -1)) / (m * m)
-    return float(energy) if energy.ndim == 0 else energy
+    return _grid_energy(*_checked(w, theta, model), model.coupling)
 
 
 def limit_energy_gradient(w, theta, model: LabelModel) -> np.ndarray:
     """Partial derivatives of the discretized energy in every weight entry.
 
-    Like limit_cut_energy, it takes one field or a stack (..., m, N).
+    Like limit_cut_energy, it checks and takes one field or a stack (..., m, N).
     """
-    weights = _weights_of(theta, stacked=True)
-    m = weights.shape[-2]
-    kernel = cell_averages(w, m)
-    return (2.0 / (m * m)) * (kernel.values @ weights @ model.coupling)
+    return _grid_gradient(*_checked(w, theta, model), model.coupling)
 
 
-def spin_energy_gradient(w, theta, model: LabelModel = None) -> np.ndarray:
-    """Derivative of the spin energy in the plus-weight per cell.
+def _spin_product(w, theta, caller):
+    # the plus weights x and Wbar (1 - 2x), for the spin gradient and the KKT phi
+    x = _plus_weights(theta, caller)
+    return x, cell_averages(w, x.size).values @ (1.0 - 2.0 * x)
+
+
+def spin_energy_gradient(w, theta) -> np.ndarray:
+    """Derivative of the spin energy in the plus weight (column 0) per cell.
 
     Both columns move together (the minus weight is 1 minus the plus weight),
     which reduces to (8/m^2) sum_b Wbar_ab (1 - 2 theta(b)); it vanishes at
-    the half-constant field.
+    the half-constant field.  Spin means `LabelModel.spin()`.
     """
-    x = _plus_weights(theta, model, "spin_energy_gradient")
-    m = x.size
-    kernel = cell_averages(w, m)
-    return (8.0 / (m * m)) * (kernel.values @ (1.0 - 2.0 * x))
+    x, product = _spin_product(w, theta, "spin_energy_gradient")
+    return (8.0 / (x.size * x.size)) * product
 
 
 @dataclass(frozen=True)
@@ -126,16 +138,14 @@ class KKTReport:
     vacuous: bool  # no strictly interior cells, condition holds trivially
 
 
-def kkt_residual(w, theta, model: LabelModel = None) -> KKTReport:
+def kkt_residual(w, theta) -> KKTReport:
     """First-order stationarity residual on the interior set of a spin field.
 
-    The multiplier is the mean of phi over cells with theta strictly inside
-    (1e-9, 1 - 1e-9); the residual is the max deviation of phi from it there.
+    The multiplier is the mean of phi over cells whose plus weight (column 0)
+    lies in (1e-9, 1 - 1e-9); the residual is the max deviation of phi there.
     """
-    x = _plus_weights(theta, model, "kkt_residual")
-    m = x.size
-    kernel = cell_averages(w, m)
-    phi = kernel.values @ (1.0 - 2.0 * x) / m
+    x, product = _spin_product(w, theta, "kkt_residual")
+    phi = product / x.size
     interior = (x > _INTERIOR_TOL) & (x < 1.0 - _INTERIOR_TOL)
     if not np.any(interior):
         return KKTReport(phi, None, 0.0, True)
@@ -151,13 +161,13 @@ class BlockReduction:
     energy: float  # 8 * reduced, the spin energy on the block kernel
 
 
-def block_reduce(lambdas, theta, model: LabelModel = None) -> BlockReduction:
+def block_reduce(lambdas, theta) -> BlockReduction:
     """Reduce a spin field on a block-diagonal kernel to per-block masses.
 
     The grid must refine the block partition; the returned energy equals the
-    continuum energy of the same field on the block kernel.
+    continuum spin energy of the same field (plus weight in column 0).
     """
-    x = _plus_weights(theta, model, "block_reduce")
+    x = _plus_weights(theta, "block_reduce")
     kernel = BlockDiagonalKernel(lambdas)
     m = x.size
     if not kernel.is_step_on(m):
@@ -168,9 +178,9 @@ def block_reduce(lambdas, theta, model: LabelModel = None) -> BlockReduction:
     return BlockReduction(masses, reduced, 8.0 * reduced)
 
 
-def halfgraph_profiles(theta, model: LabelModel = None):
-    """Cumulative plus-mass paths of the two halves of a spin field."""
-    x = _plus_weights(theta, model, "halfgraph_profiles")
+def halfgraph_profiles(theta):
+    """Cumulative plus-mass paths (theta's column 0) of the two halves of a spin field."""
+    x = _plus_weights(theta, "halfgraph_profiles")
     m = x.size
     if m % 2 != 0:
         raise ParameterError("profiles need an even cell count")

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import CapacityError, InfeasibleError, ParameterError
 from .fields import LabelModel, PartitionSpec, ThetaField
 from .functionals import (
+    _grid_energy,
+    _grid_gradient,
     _plus_weights,
     cell_averages,
     discrete_cut_energy,
@@ -538,10 +540,10 @@ def _pgd(kernel_q, model, feasible, x, max_iters, tol):
     # energy call over every live row.  A row starting an iteration adds its
     # stop-test point x - g and its first trial x - g / L; a row in its line
     # search adds its next halved trial.
-    kernel_max = float(np.abs(kernel_q.values).max())
-    lip = 2.0 * float(np.abs(model.coupling).sum()) * kernel_max / kernel_q.block_count
+    kernel, coupling = kernel_q.values, model.coupling
+    lip = 2.0 * float(np.abs(coupling).sum()) * float(np.abs(kernel).max()) / len(kernel)
     step = 1.0 / lip if lip > 0 else 1.0
-    energy = limit_cut_energy(kernel_q, feasible.weights(x), model)
+    energy = _grid_energy(kernel, feasible.weights(x), coupling)
     iters = np.zeros(len(x), dtype=int)
     g = np.empty_like(x)
     trial = np.full(len(x), step)
@@ -552,15 +554,13 @@ def _pgd(kernel_q, model, feasible, x, max_iters, tol):
         fresh = tries[live] == 0
         new = live[fresh]
         if new.size:
-            g[new] = feasible.reduce(
-                limit_energy_gradient(kernel_q, feasible.weights(xl[fresh]), model)
-            )
+            g[new] = feasible.reduce(_grid_gradient(kernel, feasible.weights(xl[fresh]), coupling))
         gl = g[live]
         points = feasible.project(
             np.concatenate((xl[fresh] - gl[fresh], xl - _rowwise(trial[live], xl) * gl))
         )
         xn = points[new.size :]
-        en = limit_cut_energy(kernel_q, feasible.weights(xn), model)
+        en = _grid_energy(kernel, feasible.weights(xn), coupling)
         go = np.ones(live.size, dtype=bool)
         go[fresh] = ~(_row_max(np.abs(xl[fresh] - points[: new.size])) <= tol)
         pending = ~(en <= energy[live])
@@ -581,25 +581,26 @@ def _fw(kernel_q, model, feasible, x, max_iters, tol):
     # along d = v - x the energy is e(x) - s gap + s^2 q, q = e(v) - e(x) + gap,
     # so the exact step on [0, 1] (Frank and Wolfe 1956) never raises it; rows
     # of x are updated in place as in _pgd
-    energy = limit_cut_energy(kernel_q, feasible.weights(x), model)
+    kernel, coupling = kernel_q.values, model.coupling
+    energy = _grid_energy(kernel, feasible.weights(x), coupling)
     iters = np.zeros(len(x), dtype=int)
     live = np.arange(len(x))
     for _ in range(max_iters):
         if live.size == 0:
             break
         xl = x[live]
-        g = feasible.reduce(limit_energy_gradient(kernel_q, feasible.weights(xl), model))
+        g = feasible.reduce(_grid_gradient(kernel, feasible.weights(xl), coupling))
         v = feasible.lmo(g)
         # one dot product per row, as np.vdot would take it
         gap = (g.reshape(live.size, 1, -1) @ (xl - v).reshape(live.size, -1, 1))[:, 0, 0]
         go = ~(gap <= tol)
         live, xl, v, gap = live[go], xl[go], v[go], gap[go]
-        q = limit_cut_energy(kernel_q, feasible.weights(v), model) - energy[live] + gap
+        q = _grid_energy(kernel, feasible.weights(v), coupling) - energy[live] + gap
         s = np.ones(live.size)
         curved = q > 0.0
         s[curved] = np.minimum(1.0, gap[curved] / (2.0 * q[curved]))
         x[live] = xl + _rowwise(s, xl) * (v - xl)
-        energy[live] = limit_cut_energy(kernel_q, feasible.weights(x[live]), model)
+        energy[live] = _grid_energy(kernel, feasible.weights(x[live]), coupling)
         iters[live] += 1
     return x, energy, iters
 
@@ -623,8 +624,9 @@ def minimize_limit_energy(
     labels the iterate is the label-0 weight, projected by the exact
     scalar-shift box projection, with a sorting linear oracle; with more
     labels it is the full weight matrix, with the exact polytope projection
-    and the successive-shortest-path transportation oracle.  Energies and
-    gradients are always those of the full field.  The projected-gradient
+    and the successive-shortest-path transportation oracle.  The kernel is
+    checked once, by `cell_averages`, and the loops read the energies and
+    gradients of the full field off its m x m matrix.  The projected-gradient
     line search starts at 1/L with the step constant L = 2 sum|f| max|Wbar|
     / m and halves until the energy does not rise.  Frank-Wolfe takes the
     exact step on the quadratic energy.  Restart r starts from
@@ -638,7 +640,8 @@ def minimize_limit_energy(
     iteration and the next halved trial of a row in its line search, and
     one energy evaluation over the trials.  The report keeps the best
     (value, argument) pair, and its iteration count is that of the winning
-    restart.
+    restart.  Its residual is the KKT residual for `LabelModel.spin()` and
+    max|x - P(x - g)| for every other model.
     """
     masses = np.asarray(masses, dtype=float)
     if masses.size != model.n_labels:
@@ -667,7 +670,7 @@ def minimize_limit_energy(
     theta = ThetaField(feasible.weights(x))
     value = limit_cut_energy(kernel_q, theta, model)
     if model.is_spin:
-        residual = kkt_residual(kernel_q, theta, model).residual
+        residual = kkt_residual(kernel_q, theta).residual
     else:
         g = feasible.reduce(limit_energy_gradient(kernel_q, theta.weights, model))
         residual = float(np.abs(x - feasible.project((x - g)[None])[0]).max())
@@ -756,18 +759,17 @@ class PlateauResult:
     changed: bool
 
 
-def sharpen_plateau(theta: ThetaField, model: LabelModel = None) -> PlateauResult:
+def sharpen_plateau(theta: ThetaField) -> PlateauResult:
     """Replace half-valued plateaus of a half-graph field by better spin data.
 
-    A plateau is the set of cells within 1e-9 of one half; it must consist
-    of matching runs R in the second half and R - 1/2 in the first half.
-    Each run is split at the 2/3 point (refining the grid threefold when the
-    run length is not divisible by 3); of the two mirrored spin fillings,
-    the one with the strictly smaller half-graph energy is kept.  Fields
-    without a plateau are returned unchanged with a flag.
+    A plateau is the set of cells whose plus weight (column 0) is within 1e-9
+    of one half; it must consist of matching runs R in the second half and
+    R - 1/2 in the first half.  Each run is split at the 2/3 point (refining
+    the grid threefold when the run length is not divisible by 3); of the two
+    mirrored spin fillings, the one with the strictly smaller half-graph
+    energy is kept.  Fields without a plateau are returned unchanged, flagged.
     """
-    model = model or LabelModel.spin()
-    x = _plus_weights(theta, model, "sharpen_plateau")
+    x = _plus_weights(theta, "sharpen_plateau")
     m = theta.m
     if m % 2 != 0:
         raise ParameterError("half-graph fields need an even cell count")
@@ -787,14 +789,7 @@ def sharpen_plateau(theta: ThetaField, model: LabelModel = None) -> PlateauResul
         half *= 3
         runs *= 3
     kernel_q = cell_averages(HalfGraphKernel(), m)
-    plus = model.plus_index
-
-    def spin_weights(x):
-        out = np.empty((m, 2))
-        out[:, plus] = x
-        out[:, 1 - plus] = 1.0 - x
-        return out
-
+    spin = LabelModel.spin()
     for a, b in runs:
         cut = (b - a) // 3
         filled = x.copy()
@@ -806,7 +801,7 @@ def sharpen_plateau(theta: ThetaField, model: LabelModel = None) -> PlateauResul
         flipped = x.copy()
         both = np.r_[a:b, half + a : half + b]
         flipped[both] = 1.0 - filled[both]
-        e_filled = limit_cut_energy(kernel_q, spin_weights(filled), model)
-        e_flipped = limit_cut_energy(kernel_q, spin_weights(flipped), model)
+        e_filled = limit_cut_energy(kernel_q, np.column_stack((filled, 1.0 - filled)), spin)
+        e_flipped = limit_cut_energy(kernel_q, np.column_stack((flipped, 1.0 - flipped)), spin)
         x = filled if e_filled <= e_flipped else flipped
-    return PlateauResult(ThetaField(spin_weights(x)), True)
+    return PlateauResult(ThetaField(np.column_stack((x, 1.0 - x))), True)

@@ -62,21 +62,21 @@ def test_theta_rows_must_be_stochastic():
 
 def test_theta_from_constant_plus():
     th = theta_from_labels(np.ones(5), spin)
-    assert np.array_equal(th.weights[:, spin.plus_index], np.ones(5))
+    assert np.array_equal(th.weights[:, 0], np.ones(5))
     assert th.is_spin_valued()
 
 
 def test_theta_from_alternating():
     u = np.array([1.0, -1.0, 1.0, -1.0])
     th = theta_from_labels(u, spin)
-    assert np.array_equal(th.weights[:, spin.plus_index], [1, 0, 1, 0])
+    assert np.array_equal(th.weights[:, 0], [1, 0, 1, 0])
 
 
 def test_mean_field_reproduces_spin():
     rng = philox(3)
     u = np.where(rng.random(17) < 0.5, 1.0, -1.0)
     th = theta_from_labels(u, spin)
-    assert np.array_equal(2 * th.weights[:, spin.plus_index] - 1, u)
+    assert np.array_equal(2 * th.weights[:, 0] - 1, u)
 
 
 def test_label_round_trip():

@@ -172,6 +172,14 @@ def test_limit_energy_single_label_zero():
     assert limit_cut_energy(HalfGraphKernel(), th, spin) == 0.0
 
 
+@pytest.mark.parametrize("evaluate", [limit_cut_energy, limit_energy_gradient])
+def test_energy_and_gradient_reject_a_label_count_mismatch(evaluate):
+    # a two-label field under a three-label model: the shared check names the
+    # mismatch before any matrix product
+    with pytest.raises(ParameterError, match="disagree on the number of labels"):
+        evaluate(HalfGraphKernel(), np.full((4, 2), 0.5), LabelModel.unit_cut((1.0, 2.0, 3.0)))
+
+
 def test_limit_energy_halfgraph_optimal_partition():
     val = limit_cut_energy(HalfGraphKernel(), optimal_halfgraph_field(), spin)
     assert val == pytest.approx(1 / 3, abs=1e-9)

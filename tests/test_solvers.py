@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from graphlim import solvers
+from graphlim import functionals, solvers
 from graphlim.errors import CapacityError, InfeasibleError, ParameterError
 from graphlim.families import bipartite, block_family, complete, halfgraph
 from graphlim.fields import LabelModel, PartitionSpec, ThetaField, theta_from_labels
@@ -862,6 +862,8 @@ def test_pgd_one_projection_per_energy_call(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(solvers, "project_polytope", logged("P", project_polytope))
+    # the loop evaluates on the checked cell averages, the report through the public function
+    monkeypatch.setattr(solvers, "_grid_energy", logged("E", solvers._grid_energy))
     monkeypatch.setattr(solvers, "limit_cut_energy", logged("E", limit_cut_energy))
     model = LabelModel.unit_cut((1.0, 2.0, 3.0))
     minimize_limit_energy(
@@ -871,6 +873,52 @@ def test_pgd_one_projection_per_energy_call(monkeypatch):
     rounds = (len(calls) - 4) // 2
     assert "".join(calls) == "PE" + "PE" * rounds + "EP"
     assert calls.count("P") <= 80
+
+
+@pytest.mark.parametrize("method", solvers.METHODS)
+@pytest.mark.parametrize(
+    "model, masses",
+    [(spin, (0.5, 0.5)), (LabelModel.unit_cut((1.0, 2.0, 3.0)), (0.4, 0.3, 0.3))],
+    ids=["spin", "three-label"],
+)
+def test_kernel_checked_once_per_solve(monkeypatch, method, model, masses):
+    # the loops read the checked cell-average matrix; the kernel goes through
+    # cell_averages only for the solve, the reported value and the residual
+    calls = []
+
+    def counted(w, m):
+        calls.append(m)
+        return cell_averages(w, m)
+
+    monkeypatch.setattr(functionals, "cell_averages", counted)
+    monkeypatch.setattr(solvers, "cell_averages", counted)
+    counts, iterations = [], []
+    for max_iters in (3, 400):
+        calls.clear()
+        rep = minimize_limit_energy(
+            HalfGraphKernel(), model, masses, 6, method=method, restarts=2, max_iters=max_iters
+        )
+        counts.append(len(calls))
+        iterations.append(rep.iterations)
+    assert iterations[1] > iterations[0]
+    assert counts == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [LabelModel((1.0, -1.0), [[0, 1], [1, 0]]), LabelModel((-1.0, 1.0), [[0, 4], [4, 0]])],
+    ids=["coupling-1", "minus-first"],
+)
+def test_only_the_spin_model_is_spin(model):
+    # spin means LabelModel.spin(); any other two-label model gets the
+    # projected residual max|x - P(x - g)| of the unit_cut path
+    assert spin.is_spin and not model.is_spin
+    w = HalfGraphKernel()
+    rep = minimize_limit_energy(w, model, (0.5, 0.5), 8, restarts=2)
+    x = rep.theta.weights[:, 0]
+    g = limit_energy_gradient(w, rep.theta, model)
+    projected = project_box_mean((x - (g[:, 0] - g[:, 1]))[None], 0.5)[0]
+    assert rep.residual == float(np.abs(x - projected).max())
 
 
 def test_frank_wolfe_bipartite_reaches_minimum_early():
