@@ -295,11 +295,12 @@ def project_rows_simplex(y):
     y = np.asarray(y, dtype=float)
     n = y.shape[-1]
     srt = np.sort(y, axis=-1)[..., ::-1]
-    cums = np.cumsum(srt, axis=-1) - 1.0
-    cond = srt - cums / np.arange(1, n + 1) > 0
-    rho = n - 1 - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
-    tau = np.take_along_axis(cums, rho, axis=-1) / (rho + 1.0)
-    return np.maximum(y - tau, 0.0)
+    # avg_j = (sum of the j largest - 1) / j, and tau is avg at the last j
+    # with srt_j > avg_j
+    avg = (np.cumsum(srt, axis=-1) - 1.0) / np.arange(1.0, n + 1.0)
+    rho = n - 1 - np.argmax((srt > avg)[..., ::-1], axis=-1)
+    tau = avg.reshape(-1, n)[np.arange(rho.size), rho.reshape(-1)]
+    return np.maximum(y - tau.reshape(rho.shape + (1,)), 0.0)
 
 
 def project_polytope(y, masses):
@@ -309,11 +310,12 @@ def project_polytope(y, masses):
     its own, and a problem of a stack comes out exactly as it would alone.
     Row i of the projection is project_rows_simplex(y_i - mu) for the dual
     vector mu that maximizes the concave, piecewise quadratic dual, whose
-    gradient is r = colsum(x) - m * masses.  Newton steps solve
-    (L + max|r| / (ptp(y) + 1) I) step = r, with L = sum_i (D_i - a_i a_i' /
-    |A_i|) the Laplacian of the active entries (x_ik > 0).  Rows with one
-    active label add no curvature; the shift keeps steps along such flat
-    directions about as long as the spread of y, and vanishes with r.
+    gradient is r = colsum(x) - m * masses.  Newton steps start at mu = 0
+    and solve (L + max|r| / (ptp(y) + 1) I) step = r, with L = sum_i (D_i -
+    a_i a_i' / |A_i|) the Laplacian of the active entries (x_ik > 0).  Rows
+    with one active label add no curvature; the shift keeps steps along
+    such flat directions about as long as the spread of y, and vanishes
+    with r.
 
     A label whose target m * mass is within the stopping test is cut: every
     row gives it its mass, clipped at 0, and the other labels make a problem
@@ -324,25 +326,62 @@ def project_polytope(y, masses):
     distance over the other labels.  Raises InfeasibleError when no label
     is left.
 
+    The projected-gradient solver of `minimize_limit_energy` starts its
+    projections of x - t g at the step's tangent dual instead; this
+    function, the solver's starts and its reported residual start at 0.
+
     A step is halved until the dual still rises at its end, <r, step> >= 0,
     a test on residuals that rounding of the dual value cannot upset.  All
     problems take their steps together; each returns once every column sum
     is within 1e-12 * m of its target.  Raises InfeasibleError when 100
-    steps do not get a problem there.
+    steps do not get a problem there, or when a Newton system is singular.
     """
     y = np.asarray(y, dtype=float)
-    m = y.shape[-2]
-    masses = np.asarray(masses, dtype=float)
-    tol = 1e-12 * m
-    kept = np.abs(m * masses) > tol
-    if not kept.any():
-        raise InfeasibleError("every mass is within the stopping test of zero")
-    fill = np.where(kept, 0.0, np.maximum(masses, 0.0))
-    rest = 1.0 - fill.sum()
-    target = m * (masses[kept] / rest)
-    nlab = target.size
-    ys = np.compress(kept, y, axis=-1).reshape(-1, m, nlab) / rest
-    eye = np.eye(nlab)
+    return _TransportSet(np.asarray(masses, dtype=float), y.shape[-2]).project(y)
+
+
+def _active_laplacian(a):
+    # sum_i (D_i - a_i a_i' / |A_i|) over the rows of each stacked 0/1 mask
+    share = (a / a.sum(axis=2, keepdims=True)).swapaxes(1, 2) @ a
+    return a.sum(axis=1)[:, :, None] * np.eye(a.shape[2]) - share
+
+
+def _flat_projector(lap):
+    # the orthogonal projector onto the null space of each stacked Laplacian:
+    # labels that share a row with both active are linked, and L is flat
+    # along the indicator of each linked component
+    nlab = lap.shape[-1]
+    reach = (lap != 0.0) | np.eye(nlab, dtype=bool)
+    for _ in range((nlab - 2).bit_length()):
+        reach = reach @ reach
+    return reach / reach.sum(axis=-1, keepdims=True)
+
+
+def _tangent_dual(active, g):
+    # a step x - t g that keeps every row's active set moves column k by
+    # -t b_k - (L mu)_k, b_k = sum_i a_ik (g_ik - mean of g_i over A_i), so
+    # mu = t nu with L nu = -b keeps the column sums.  b sums to zero over
+    # each linked component, and nu is the solution with zero component
+    # sums, of (L + P) nu = -b for the projector P onto the flat directions;
+    # L + P is positive definite, so there is no singular case.
+    a = active.astype(float)
+    mean = (a * g).sum(axis=2, keepdims=True) / a.sum(axis=2, keepdims=True)
+    b = (a * (g - mean)).sum(axis=1)
+    lap = _active_laplacian(a)
+    return np.linalg.solve(lap + _flat_projector(lap), -b[..., None])[..., 0]
+
+
+def _polytope_newton(ys, target, mu, tol):
+    # damped Newton on the dual of every problem of the stack ys (P, m, N),
+    # each from its start in mu (P, N), or cold from 0 when mu is None;
+    # returns the projections.  A problem leaves the stack once it is done.
+    # The shift damps every direction from a cold start, and only the flat
+    # ones from a warm start, so that there a step that keeps the active
+    # sets lands on the column sums.
+    warm = mu is not None
+    eye = np.eye(target.size)
+    if not warm:
+        mu = np.zeros((len(ys), target.size))
     spread = np.ptp(ys, axis=(1, 2)) + 1.0
     out = np.empty_like(ys)
 
@@ -355,23 +394,24 @@ def project_polytope(y, masses):
         return (_row_max(np.abs(resid)) <= tol) | (rise >= 0.0)
 
     live = np.arange(len(ys))
-    mu = np.zeros((live.size, nlab))
     x, resid = at(live, mu)
     for _ in range(100):
         done = _row_max(np.abs(resid)) <= tol
+        if done.all():
+            out[live] = x
+            return out
         if done.any():
             out[live[done]] = x[done]
             live, mu, x, resid = live[~done], mu[~done], x[~done], resid[~done]
-        if live.size == 0:
-            full = np.zeros(y.shape) + fill
-            full[..., kept] = rest * out.reshape(y.shape[:-1] + (nlab,))
-            return full
-        a = (x > 0.0).astype(float)
-        count = a.sum(axis=1)
-        share = (a / a.sum(axis=2, keepdims=True)).swapaxes(1, 2) @ a
-        lap = count[:, :, None] * eye - share
         shift = _row_max(np.abs(resid)) / spread[live]
-        step = np.linalg.solve(lap + shift[:, None, None] * eye, resid[..., None])[..., 0]
+        lap = _active_laplacian((x > 0.0).astype(float))
+        lhs = lap + shift[:, None, None] * (_flat_projector(lap) if warm else eye)
+        try:
+            step = np.linalg.solve(lhs, resid[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise InfeasibleError(
+                "polytope projection failed: a Newton step met a singular system"
+            ) from None
         # a constant shift of mu leaves every row unchanged
         step -= step.mean(axis=1, keepdims=True)
         t = np.ones(live.size)
@@ -485,6 +525,9 @@ class _BoxMeanSet:
     def project(self, y):
         return project_box_mean(y, self.mass0)
 
+    def step(self, x, g, fresh, trial):
+        return self.project(_step_points(x, g, fresh, trial))
+
     def lmo(self, g):
         """Minimize <g, v> over the box with sum(v) = m * mass0, by greedy fill."""
         total = self.m * self.mass0
@@ -510,6 +553,14 @@ class _TransportSet:
         self.masses = masses
         self.m = m
         self.shape = (m, masses.size)
+        # the mass cut of project_polytope
+        self.tol = 1e-12 * m
+        self.kept = np.abs(m * masses) > self.tol
+        if not self.kept.any():
+            raise InfeasibleError("every mass is within the stopping test of zero")
+        self.fill = np.where(self.kept, 0.0, np.maximum(masses, 0.0))
+        self.rest = 1.0 - self.fill.sum()
+        self.target = m * (masses[self.kept] / self.rest)
 
     def weights(self, x):
         return x
@@ -518,10 +569,31 @@ class _TransportSet:
         return g
 
     def project(self, y):
-        return project_polytope(y, self.masses)
+        return self._project(y, None)
+
+    def step(self, x, g, fresh, trial):
+        # each point x - t g starts at t nu for the tangent dual nu of its row
+        kept = self.kept
+        nu = _tangent_dual(np.compress(kept, x, axis=-1) > 0.0, np.compress(kept, g, axis=-1))
+        mu = np.concatenate((nu[fresh], _rowwise(trial, nu) * nu)) / self.rest
+        return self._project(_step_points(x, g, fresh, trial), mu)
+
+    def _project(self, y, mu):
+        # project_polytope, with Newton started at the dual mu (0 if None)
+        kept, nlab = self.kept, self.target.size
+        ys = np.compress(kept, y, axis=-1).reshape(-1, self.m, nlab) / self.rest
+        x = _polytope_newton(ys, self.target, mu, self.tol)
+        full = np.zeros(y.shape) + self.fill
+        full[..., kept] = self.rest * x.reshape(y.shape[:-1] + (nlab,))
+        return full
 
     def lmo(self, g):
         return transport_lmo(g, self.m * self.masses)
+
+
+def _step_points(x, g, fresh, trial):
+    # the stop-test points x - g of the fresh rows, then every row's trial
+    return np.concatenate((x[fresh] - g[fresh], x - _rowwise(trial, x) * g))
 
 
 def _rowwise(a, like):
@@ -536,10 +608,12 @@ def _row_max(a):
 def _pgd(kernel_q, model, feasible, x, max_iters, tol):
     # every row of x is one restart, updated in place; a row retires when it
     # stops, and the others go on exactly as they would alone.  Rows do not
-    # wait for each other: each round makes one stacked projection and one
-    # energy call over every live row.  A row starting an iteration adds its
-    # stop-test point x - g and its first trial x - g / L; a row in its line
-    # search adds its next halved trial.
+    # wait for each other: each round makes one stacked projection, by the
+    # feasible set's step, and one energy call over every live row.  A row
+    # starting an iteration adds its stop-test point x - g and its first
+    # trial x - g / L; a row in its line search adds its next halved trial.
+    # With three or more labels the step starts each point's Newton steps
+    # at its tangent dual.
     kernel, coupling = kernel_q.values, model.coupling
     lip = 2.0 * float(np.abs(coupling).sum()) * float(np.abs(kernel).max()) / len(kernel)
     step = 1.0 / lip if lip > 0 else 1.0
@@ -556,9 +630,7 @@ def _pgd(kernel_q, model, feasible, x, max_iters, tol):
         if new.size:
             g[new] = feasible.reduce(_grid_gradient(kernel, feasible.weights(xl[fresh]), coupling))
         gl = g[live]
-        points = feasible.project(
-            np.concatenate((xl[fresh] - gl[fresh], xl - _rowwise(trial[live], xl) * gl))
-        )
+        points = feasible.step(xl, gl, fresh, trial[live])
         xn = points[new.size :]
         en = _grid_energy(kernel, feasible.weights(xn), coupling)
         go = np.ones(live.size, dtype=bool)
@@ -638,10 +710,16 @@ def minimize_limit_energy(
     makes one stacked projection over every live row, which covers the
     stop-test point x - g and first trial x - g / L of a row starting an
     iteration and the next halved trial of a row in its line search, and
-    one energy evaluation over the trials.  The report keeps the best
-    (value, argument) pair, and its iteration count is that of the winning
-    restart.  Its residual is the KKT residual for `LabelModel.spin()` and
-    max|x - P(x - g)| for every other model.
+    one energy evaluation over the trials.  With three or more labels
+    those projections of x - t g start their Newton steps at t nu, the
+    tangent dual of the step (L nu = -b for the Laplacian L of x's active
+    entries and b_k = sum_i a_ik (g_ik - mean of g_i over its active
+    entries)), which is exact when the step keeps every row's active set;
+    the starts and the residual project from mu = 0, as `project_polytope`
+    does.  The report keeps the best (value, argument) pair, and its
+    iteration count is that of the winning restart.  Its residual is the
+    KKT residual for `LabelModel.spin()` and max|x - P(x - g)| for every
+    other model.
     """
     masses = np.asarray(masses, dtype=float)
     if masses.size != model.n_labels:

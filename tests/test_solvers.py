@@ -550,6 +550,113 @@ def test_projection_polytope_stack_matches_single_calls(case):
             assert project_rows_simplex(row).tobytes() == row_out.tobytes()
 
 
+def _rows_simplex_reference(y):
+    # reference: the sort-based projection with the threshold read off the
+    # cumulative sums by take_along_axis
+    n = y.shape[-1]
+    srt = np.sort(y, axis=-1)[..., ::-1]
+    cums = np.cumsum(srt, axis=-1) - 1.0
+    cond = srt - cums / np.arange(1, n + 1) > 0
+    rho = n - 1 - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
+    tau = np.take_along_axis(cums, rho, axis=-1) / (rho + 1.0)
+    return np.maximum(y - tau, 0.0)
+
+
+@given(
+    st.lists(st.integers(1, 4), max_size=2),
+    st.integers(1, 6),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_project_rows_simplex_matches_reference(lead, n, data):
+    # bit for bit, ties and signed zeros included
+    size = int(np.prod(lead)) * n
+    entry = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 1e-300])
+    y = np.array(data.draw(st.lists(entry, min_size=size, max_size=size))).reshape(*lead, n)
+    assert project_rows_simplex(y).tobytes() == _rows_simplex_reference(y).tobytes()
+
+
+def _check_polytope_point(y, x, masses, scale):
+    # the checks of test_projection_polytope_properties, for x = P(y); an
+    # entry of x is a difference of numbers of size scale, so row sums and
+    # a second projection move by up to its rounding, eps * scale
+    m = y.shape[0]
+    rounding = 1e-12 + np.finfo(float).eps * scale
+    assert np.abs(x.sum(axis=1) - 1.0).max() <= rounding
+    assert x.min() >= 0.0
+    assert np.abs(x.mean(axis=0) - masses).max() <= 1e-12
+    assert np.abs(project_polytope(x, masses) - x).max() <= rounding
+    v = transport_lmo(x - y, m * masses)
+    assert float(np.vdot(x - y, v - x)) >= -1e-9 * scale
+
+
+def test_projection_polytope_raises_only_infeasible_error():
+    # entries of 1e6 make Newton systems singular in floating point: such
+    # inputs end in InfeasibleError, never in numpy's LinAlgError, and what
+    # is returned is the projection
+    returned = 0
+    for seed in range(200):
+        rng = philox(seed)
+        m, nlab = rng.integers(2, 30), rng.integers(2, 5)
+        masses = rng.dirichlet(np.ones(nlab))
+        y = 1e6 * rng.normal(size=(m, nlab))
+        try:
+            x = project_polytope(y, masses)
+        except InfeasibleError:
+            continue
+        _check_polytope_point(y, x, masses, 1e6)
+        returned += 1
+    assert returned > 0
+
+
+@st.composite
+def pgd_steps(draw):
+    """A feasible stack x, a direction g, fresh rows and trial steps."""
+    rows = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 12))
+    nlab = draw(st.integers(2, 5))
+    masses = _random_masses(draw, nlab)
+    rng = philox(draw(st.integers(0, 10**6)))
+    x = project_polytope(rng.normal(size=(rows, m, nlab)), masses)
+    g = 10.0 ** draw(st.floats(-2.0, 2.0)) * rng.normal(size=x.shape)
+    fresh = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    # t = 1 or a line-search trial 2^-k / L, L the unit-cut step constant
+    # of _pgd for a kernel bounded by 1
+    lip = 2.0 * nlab * (nlab - 1) / m
+    ks = draw(st.lists(st.none() | st.integers(0, 59), min_size=rows, max_size=rows))
+    trial = np.array([1.0 if k is None else 2.0**-k / lip for k in ks])
+    return x, g, fresh, trial, masses
+
+
+@given(pgd_steps())
+@settings(max_examples=150, deadline=None)
+def test_pgd_step_is_the_projection_of_each_point(case):
+    # a round's points are the stop-test points x - g of the fresh rows and
+    # every row's trial x - t g; Newton starts at the tangent dual, and the
+    # points come out as projections, each row's as it would alone
+    x, g, fresh, trial, masses = case
+    rows, m, _ = x.shape
+    row = np.concatenate((np.flatnonzero(fresh), np.arange(rows)))
+    t = np.concatenate((np.ones(np.count_nonzero(fresh)), trial))
+    feasible = solvers._TransportSet(masses, m)
+    points = feasible.step(x, g, fresh, trial)
+    assert points.shape == (row.size, m, masses.size)
+    for r, tp, point in zip(row, t, points):
+        y = x[r] - tp * g[r]
+        scale = max(1.0, float(np.abs(y).max()))
+        _check_polytope_point(y, point, masses, scale)
+        assert np.abs(point - project_polytope(y, masses)).max() <= 1e-9 * scale
+    for r in range(rows):
+        one = feasible.step(x[r : r + 1], g[r : r + 1], fresh[r : r + 1], trial[r : r + 1])
+        assert one.tobytes() == points[row == r].tobytes()
+    # two labels: the label-0 weight, projected by project_box_mean
+    spin_x, spin_g = x[..., 0], g[..., 0]
+    box = solvers._BoxMeanSet(np.array([masses[0], 1.0 - masses[0]]), m)
+    for r, tp, point in zip(row, t, box.step(spin_x, spin_g, fresh, trial)):
+        one = project_box_mean(spin_x[r] - tp * spin_g[r], masses[0])
+        assert point.tobytes() == one.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # transportation oracle
 
@@ -782,7 +889,8 @@ def test_restarts_reduce_to_best_single_restart(problem, method, seed, restarts,
 def _pgd_lockstep(kernel_q, model, feasible, x, max_iters, tol):
     # reference: the loop that kept every row in step, with one stop-test
     # projection per outer iteration and then halvings until the slowest
-    # row's line search ends
+    # row's line search ends.  Its points go through the same step calls
+    # as _pgd's, so each starts its projection as it would there.
     kernel_max = float(np.abs(kernel_q.values).max())
     lip = 2.0 * float(np.abs(model.coupling).sum()) * kernel_max / kernel_q.block_count
     step = 1.0 / lip if lip > 0 else 1.0
@@ -794,7 +902,8 @@ def _pgd_lockstep(kernel_q, model, feasible, x, max_iters, tol):
             break
         xl = x[live]
         g = feasible.reduce(limit_energy_gradient(kernel_q, feasible.weights(xl), model))
-        go = ~(solvers._row_max(np.abs(xl - feasible.project(xl - g))) <= tol)
+        stop = feasible.step(xl, g, np.zeros(live.size, dtype=bool), np.ones(live.size))
+        go = ~(solvers._row_max(np.abs(xl - stop)) <= tol)
         live, xl, g, el = live[go], xl[go], g[go], energy[live[go]]
         trial = np.full(live.size, step)
         xn = np.empty_like(xl)
@@ -804,7 +913,7 @@ def _pgd_lockstep(kernel_q, model, feasible, x, max_iters, tol):
             p = np.flatnonzero(pending)
             if p.size == 0:
                 break
-            xn[p] = feasible.project(xl[p] - solvers._rowwise(trial[p], xl) * g[p])
+            xn[p] = feasible.step(xl[p], g[p], np.zeros(p.size, dtype=bool), trial[p])
             en[p] = limit_cut_energy(kernel_q, feasible.weights(xn[p]), model)
             pending[p] = ~(en[p] <= el[p])
             trial[pending] *= 0.5
@@ -861,7 +970,11 @@ def test_pgd_one_projection_per_energy_call(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(solvers, "project_polytope", logged("P", project_polytope))
+    # the starts and the residual are projections of the feasible set, the
+    # rounds its steps
+    for name in ("project", "step"):
+        method = getattr(solvers._TransportSet, name)
+        monkeypatch.setattr(solvers._TransportSet, name, logged("P", method))
     # the loop evaluates on the checked cell averages, the report through the public function
     monkeypatch.setattr(solvers, "_grid_energy", logged("E", solvers._grid_energy))
     monkeypatch.setattr(solvers, "limit_cut_energy", logged("E", limit_cut_energy))
