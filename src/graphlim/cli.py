@@ -56,6 +56,16 @@ def _common(parser, *names):
         parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
+def _mode_only(args, mode, active, **defaults):
+    """Give the flags only `mode` acts on their defaults, or exit 2 naming one
+    that was passed while another mode runs."""
+    for name, default in defaults.items():
+        value = getattr(args, name)
+        if value is not None and not active:
+            raise ParameterError(f"--{name} is for {mode} only")
+        setattr(args, name, default if value is None else value)
+
+
 def _parse_floats(text):
     try:
         return tuple(float(v) for v in text.split(","))
@@ -130,6 +140,7 @@ def _difference_kernel(a, b):
 
 
 def _cmd_cutnorm(args):
+    _mode_only(args, "--mode heuristic", args.mode == "heuristic", restarts=32, seed=0)
     a = fileio.read_graphon(args.a)
     b = fileio.read_graphon(args.b) if args.b else None
     diff, representable = _difference_kernel(a, b)
@@ -171,10 +182,9 @@ def _model_for(n_labels):
 
 
 def _cmd_solve_discrete(args):
+    _mode_only(args, "--method local", args.method == "local", sizes=None, restarts=8, seed=0)
     graph = fileio.read_graph(args.graph)
     if args.method == "brute":
-        if args.sizes:
-            raise ParameterError("--sizes is for --method local only")
         report = brute_bisection(graph)
     else:
         spec = PartitionSpec.bisection()
@@ -293,9 +303,9 @@ def build_parser():
     p.add_argument("--a", required=True, help="step graphon file")
     p.add_argument("--b", help="kernel to subtract (step or analytic)")
     p.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=int, help="--mode heuristic only (default 32)")
     _common(p, "seed", "out", "format")
-    p.set_defaults(func=_cmd_cutnorm)
+    p.set_defaults(func=_cmd_cutnorm, seed=None)
 
     p = sub.add_parser("homdensity", help="homomorphism density of a motif")
     p.add_argument("--motif", required=True, choices=sorted(_MOTIFS))
@@ -309,9 +319,9 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--method", choices=("brute", "local"), default="brute")
     p.add_argument("--sizes", help="comma-separated part sizes (--method local only)")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int, help="--method local only (default 8)")
     _common(p, "seed", "out", "format")
-    p.set_defaults(func=_cmd_solve_discrete)
+    p.set_defaults(func=_cmd_solve_discrete, seed=None)
 
     p = sub.add_parser("solve-limit", help="minimize the continuum cut energy")
     p.add_argument("--graphon", required=True)

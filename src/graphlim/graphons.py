@@ -411,12 +411,12 @@ class CutNormResult:
     exact: bool
 
 
-def _pattern_chunk(lo, hi, m):
+def _pattern_chunk(lo, hi, m, dtype=float):
     # patterns lo..hi-1 as 0/1 rows; bit (m-1-i) of p is block i, so ascending
     # p enumerates the s-vectors in lexicographic order
     ps = np.arange(lo, hi, dtype=np.uint64)[:, None]
     shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)[None, :]
-    return ((ps >> shifts) & np.uint64(1)).astype(float)
+    return ((ps >> shifts) & np.uint64(1)).astype(dtype)
 
 
 def _exact_cut_norm(widths, values):

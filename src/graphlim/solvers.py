@@ -29,8 +29,9 @@ from .graphons import Graph, HalfGraphKernel, _pattern_chunk
 BRUTE_BISECTION_MAX_NODES = 28
 METHODS = ("pgd", "frank_wolfe")  # continuum solver methods
 VERTEX_ENUM_MAX_BLOCKS = 20
-# entries per block of paired half patterns in brute_bisection (8 MiB)
-_BISECTION_BLOCK_ENTRIES = 1 << 20
+# cuts per float32 block in brute_bisection (64 KiB): with at most 16 terms
+# per cut a block's GEMM has M*N*K <= 2^18, which OpenBLAS runs on one thread
+_BISECTION_BLOCK_ENTRIES = 1 << 14
 
 _TIE_TOL = 1e-12
 _PLATEAU_TOL = 1e-9
@@ -76,13 +77,17 @@ def brute_bisection(g: Graph) -> SolveReport:
     the lexicographically smallest minimizer.  The enumeration is split in
     half (Horowitz-Sahni 1974): lo holds nodes 1..h with node 1 always in S,
     hi the other nodes.  With cut(S) = sum of degrees - 2 e(S) and e(S) =
-    e(S_lo) + e(S_hi) + x_lo' A[lo, hi] x_hi, each half pattern contributes
-    a tabulated degree sum, internal edge count and cross row x_lo' A[lo, hi],
-    and the halves are paired one lo popcount at a time, so every cut is an
-    integer sum, exact in float64.  Rows and columns run in descending
-    membership code (node 2 as the most significant bit), so the first
-    minimum in row-major order is the largest code, which is the
-    lexicographically smallest member tuple.
+    e(S_lo) + e(S_hi) + x_lo' A[lo, hi] x_hi, each half pattern gets an
+    integer base (degree sum less twice its internal edge count), and each
+    cut is the product [x_lo' A[lo, hi] | base_lo | 1] @ [-2 x_hi ; 1 ;
+    base_hi].  The halves are paired one lo popcount at a time, in blocks of
+    at most _BISECTION_BLOCK_ENTRIES cuts, each one float32 GEMM.  Every
+    factor entry is an integer and at 28 nodes every partial sum is below
+    2^11 in magnitude, far inside float32's 2^24, so every cut is exact in
+    any summation order.  Rows and columns run in descending membership code
+    (node 2 as the most significant bit), so the first minimum in row-major
+    order is the largest code, which is the lexicographically smallest
+    member tuple.
     """
     n = g.n
     if n % 2 != 0:
@@ -91,16 +96,20 @@ def brute_bisection(g: Graph) -> SolveReport:
         raise CapacityError(
             f"exact bisection capped at {BRUTE_BISECTION_MAX_NODES} nodes, got {n}"
         )
-    adjacency = g.adjacency().astype(float)
+    adjacency = g.adjacency().astype(np.int32)
     degrees = adjacency.sum(axis=1)
     h = 1 + (n - 1) // 2
     # lo patterns over nodes 1..h with the leading bit (node 1) set
-    lo_pats = _pattern_chunk(1 << (h - 1), 1 << h, h)
-    hi_pats = _pattern_chunk(0, 1 << (n - h), n - h)
+    lo_pats = _pattern_chunk(1 << (h - 1), 1 << h, h, np.int32)
+    hi_pats = _pattern_chunk(0, 1 << (n - h), n - h, np.int32)
     # degree sum minus twice the internal edge count of each half pattern
     lo_base = lo_pats @ degrees[:h] - ((lo_pats @ adjacency[:h, :h]) * lo_pats).sum(1)
     hi_base = hi_pats @ degrees[h:] - ((hi_pats @ adjacency[h:, h:]) * hi_pats).sum(1)
-    cross = lo_pats @ adjacency[:h, h:]
+    # cut = left[a] @ right[:, b] with left = [x_lo' A[lo, hi] | base_lo | 1]
+    # and right = [-2 x_hi' ; 1 ; base_hi]
+    left = np.column_stack((lo_pats @ adjacency[:h, h:], lo_base, np.ones_like(lo_base)))
+    left = left.astype(np.float32)
+    right = np.vstack((-2 * hi_pats.T, np.ones_like(hi_base), hi_base), dtype=np.float32)
     lo_groups = _popcount_groups(lo_pats[:, 1:])
     hi_groups = _popcount_groups(hi_pats)
     need = n // 2 - 1
@@ -111,18 +120,16 @@ def brute_bisection(g: Graph) -> SolveReport:
         if not 0 <= need - c < len(hi_groups):
             continue
         ib = hi_groups[need - c]
-        hi_t = -2.0 * hi_pats[ib].T
+        lo_c = left[ia]
+        hi_c = right.take(ib, axis=1)  # row-major: a column-major right factor is slower
         rows = max(1, _BISECTION_BLOCK_ENTRIES // ib.size)
         for r0 in range(0, ia.size, rows):
-            ra = ia[r0 : r0 + rows]
-            cuts = cross[ra] @ hi_t
-            cuts += lo_base[ra, None]
-            cuts += hi_base[None, ib]
+            cuts = lo_c[r0 : r0 + rows] @ hi_c
             evaluated += cuts.size
             k = int(np.argmin(cuts))
             cut = cuts.flat[k]
             a, b = divmod(k, ib.size)
-            code = (int(ra[a]) << (n - h)) | int(ib[b])
+            code = (int(ia[r0 + a]) << (n - h)) | int(ib[b])
             # smallest cut, then largest code
             if best_cut is None or (cut, -code) < (best_cut, -best_code):
                 best_cut, best_code = cut, code

@@ -664,3 +664,48 @@ def test_each_subcommand_takes_exactly_its_flags():
     for name, parser in sub.choices.items():
         flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
         assert flags == set(_FLAGS[name].split()), name
+
+
+# flags that only one mode of a subcommand acts on: (subcommand, the flags
+# that pick another mode, empty for the default mode, the flag, a value)
+_MODE_ONLY = [
+    ("solve-discrete", ["--method", "brute"], "--sizes", "4,4"),
+    ("solve-discrete", ["--method", "brute"], "--restarts", "5"),
+    ("solve-discrete", [], "--seed", "3"),
+    ("cutnorm", ["--mode", "exact"], "--restarts", "5"),
+    ("cutnorm", [], "--seed", "3"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, mode, flag, value",
+    _MODE_ONLY,
+    ids=["brute-sizes", "brute-restarts", "brute-seed", "exact-restarts", "exact-seed"],
+)
+def test_flags_the_running_mode_does_not_act_on_exit_2(
+    tmp_path, capsys, command, mode, flag, value
+):
+    gpath, spath, out = (str(tmp_path / f) for f in ("g.json", "s.json", "out.json"))
+    run(capsys, "gen", "--family", "halfgraph", "--n", "8", "--out", gpath)
+    run(capsys, "graphon", "--graph", gpath, "--out", spath)
+    source = ["--graph", gpath] if command == "solve-discrete" else ["--a", spath]
+    code, stdout, err = run(capsys, command, *source, *mode, flag, value, "--out", out)
+    assert code == 2 and flag in err
+    assert not stdout and not pathlib.Path(out).exists()
+
+
+def test_mode_only_flags_keep_their_defaults_in_their_mode(tmp_path, capsys):
+    gpath, spath = str(tmp_path / "g.json"), str(tmp_path / "s.json")
+    run(capsys, "gen", "--family", "halfgraph", "--n", "8", "--out", gpath)
+    run(capsys, "graphon", "--graph", gpath, "--out", spath)
+    local = ["solve-discrete", "--graph", gpath, "--method", "local"]
+    out = run(capsys, *local)[1]
+    report = json.loads(out)
+    assert (report["seed"], report["restarts"]) == (0, 8)
+    assert run(capsys, *local, "--restarts", "8", "--seed", "0")[1] == out
+    report = json.loads(run(capsys, *local, "--restarts", "2", "--seed", "3")[1])
+    assert (report["seed"], report["restarts"]) == (3, 2)
+    heuristic = ["cutnorm", "--a", spath, "--mode", "heuristic"]
+    code, out, _ = run(capsys, *heuristic)
+    assert code == 0
+    assert run(capsys, *heuristic, "--restarts", "32", "--seed", "0")[1] == out

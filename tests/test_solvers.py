@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +105,43 @@ def test_brute_bisection_matches_combinations(seed, half, p):
     assert rep.labels == labels
     assert rep.iterations == evaluated
     assert rep.value == value
+
+
+def test_brute_bisection_complete_graph_at_the_cap():
+    rep = brute_bisection(complete(28).graph)
+    assert rep.value == 2.0
+    assert rep.labels == (1.0,) * 14 + (-1.0,) * 14
+
+
+@pytest.mark.parametrize("n", [24, 26, 28])
+def test_brute_bisection_half_graph_at_the_cap(n):
+    # the half graph's minimum cut is ceil(n(n+2)/24): 13/36, 62/169 and 5/14
+    rep = brute_bisection(halfgraph(n).graph)
+    assert rep.value == 8 * math.ceil(n * (n + 2) / 24) / n**2
+    assert rep.iterations == math.comb(n - 1, n // 2 - 1)
+
+
+@pytest.mark.parametrize("p, value", [(0.0, 0.0), (1.0, 2.0)])
+def test_brute_bisection_ties_at_26_nodes_go_to_the_first_member_tuple(p, value):
+    # edgeless and complete: every balanced set ties, so nodes 1..13 win
+    rep = brute_bisection(random_graph(26, 26, p))
+    assert rep.value == value
+    assert rep.labels == (1.0,) * 13 + (-1.0,) * 13
+    assert rep.iterations == math.comb(25, 12)
+
+
+@pytest.mark.parametrize("n, mib", [(24, 2.5), (28, 10.0)])
+def test_brute_bisection_traced_peak(n, mib):
+    # blocks of 2^14 float32 cuts on int32 pattern tables trace 1.1 and
+    # 4.8 MiB with numpy 2.4
+    g = halfgraph(n).graph
+    tracemalloc.start()
+    try:
+        brute_bisection(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
 
 
 # ---------------------------------------------------------------------------
