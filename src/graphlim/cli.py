@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -56,28 +57,28 @@ def _common(parser, *names):
         parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
-def _mode_only(args, mode, active, **defaults):
-    """Give the flags only `mode` acts on their defaults, or exit 2 naming one
-    that was passed while another mode runs."""
+def _mode_only(values, mode, active, option="--{}", **defaults):
+    """Exit 2 naming an option given while a mode other than `mode` runs;
+    otherwise give each unset option its default, unless that is None.
+
+    `values` maps option names to values: the parsed flags, or the merged
+    fields of a converge config.
+    """
     for name, default in defaults.items():
-        value = getattr(args, name)
+        value = values.get(name)
         if value is not None and not active:
-            raise ParameterError(f"--{name} is for {mode} only")
-        setattr(args, name, default if value is None else value)
+            raise ParameterError(f"{option.format(name.replace('_', '-'))} is for {mode} only")
+        if value is None and default is not None:
+            values[name] = default
 
 
-def _parse_floats(text):
+def _parse_list(text, kind):
+    """Comma-separated ints or floats, as `kind` says."""
     try:
-        return tuple(float(v) for v in text.split(","))
+        return tuple(kind(v) for v in text.split(","))
     except ValueError:
-        raise ParameterError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _parse_ints(text):
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise ParameterError(f"expected comma-separated integers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ParameterError(f"expected comma-separated {noun}, got {text!r}") from None
 
 
 def _emit(args, payload):
@@ -105,29 +106,30 @@ def _emit(args, payload):
 
 
 def _cmd_gen(args):
-    if args.family == "checkerboard":
-        kernel = families.checkerboard(args.n)
-        fileio.write_graphon(args.out, kernel)
-        return EXIT_OK
-    if args.family == "wrandom":
+    family, values = args.family, vars(args)
+    _mode_only(values, "--family wrandom", family == "wrandom", kernel=None, seed=0)
+    _mode_only(values, "--family blocks", family == "blocks", lambdas=None)
+    _mode_only(values, "--family bipartite", family == "bipartite", gamma=0.5)
+    _mode_only(values, "the graph families", family != "checkerboard", limit_out=None)
+    if family == "checkerboard":
+        fileio.write_graphon(args.out, families.checkerboard(args.n))
+        return
+    if family == "wrandom":
         if not args.kernel:
             raise ParameterError("gen --family wrandom requires --kernel")
         limit = fileio.read_graphon(args.kernel)
         graph = families.w_random(limit, args.n, args.seed)
     else:
-        lambdas = _parse_floats(args.lambdas) if args.lambdas else ()
-        inst = family_instance(args.family, args.n, args.gamma, lambdas)
+        lambdas = _parse_list(args.lambdas, float) if args.lambdas else ()
+        inst = family_instance(family, args.n, args.gamma, lambdas)
         graph, limit = inst.graph, inst.limit
     fileio.write_graph(args.out, graph)
     if args.limit_out:
         fileio.write_graphon(args.limit_out, limit)
-    return EXIT_OK
 
 
 def _cmd_graphon(args):
-    graph = fileio.read_graph(args.graph)
-    _emit(args, fileio.graphon_to_dict(step_from_graph(graph)))
-    return EXIT_OK
+    return fileio.graphon_to_dict(step_from_graph(fileio.read_graph(args.graph)))
 
 
 def _difference_kernel(a, b):
@@ -140,19 +142,12 @@ def _difference_kernel(a, b):
 
 
 def _cmd_cutnorm(args):
-    _mode_only(args, "--mode heuristic", args.mode == "heuristic", restarts=32, seed=0)
+    _mode_only(vars(args), "--mode heuristic", args.mode == "heuristic", restarts=32, seed=0)
     a = fileio.read_graphon(args.a)
     b = fileio.read_graphon(args.b) if args.b else None
     diff, representable = _difference_kernel(a, b)
     result = cut_norm(diff, mode=args.mode, restarts=args.restarts, seed=args.seed)
-    payload = {
-        "value": result.value,
-        "s": list(result.s),
-        "t": list(result.t),
-        "exact": bool(result.exact and representable),
-    }
-    _emit(args, payload)
-    return EXIT_OK
+    return dict(dataclasses.asdict(result), exact=bool(result.exact and representable))
 
 
 def _cmd_homdensity(args):
@@ -160,18 +155,15 @@ def _cmd_homdensity(args):
     if args.graph is not None:
         graph = fileio.read_graph(args.graph)
         value = hom_density_graph(motif, graph)
-        payload = {
+        return {
             "motif": args.motif,
             "value": float(value),
             "exact": f"{value.numerator}/{value.denominator}",
         }
-    else:
-        kernel = fileio.read_graphon(args.graphon)
-        if not isinstance(kernel, StepGraphon):
-            raise ParameterError("homdensity --graphon expects a step graphon file")
-        payload = {"motif": args.motif, "value": hom_density_graphon(motif, kernel)}
-    _emit(args, payload)
-    return EXIT_OK
+    kernel = fileio.read_graphon(args.graphon)
+    if not isinstance(kernel, StepGraphon):
+        raise ParameterError("homdensity --graphon expects a step graphon file")
+    return {"motif": args.motif, "value": hom_density_graphon(motif, kernel)}
 
 
 def _model_for(n_labels):
@@ -182,25 +174,23 @@ def _model_for(n_labels):
 
 
 def _cmd_solve_discrete(args):
-    _mode_only(args, "--method local", args.method == "local", sizes=None, restarts=8, seed=0)
+    _mode_only(vars(args), "--method local", args.method == "local", sizes=None, restarts=8, seed=0)
     graph = fileio.read_graph(args.graph)
     if args.method == "brute":
-        report = brute_bisection(graph)
-    else:
-        spec = PartitionSpec.bisection()
-        if args.sizes:
-            sizes = _parse_ints(args.sizes)
-            spec = PartitionSpec(tuple(s / graph.n for s in sizes), sizes=sizes)
-        report = local_search_partition(
-            graph, spec, _model_for(len(spec.masses)), seed=args.seed, restarts=args.restarts
-        )
-    _emit(args, report.to_dict())
-    return EXIT_OK
+        return brute_bisection(graph).to_dict()
+    spec = PartitionSpec.bisection()
+    if args.sizes:
+        sizes = _parse_list(args.sizes, int)
+        spec = PartitionSpec(tuple(s / graph.n for s in sizes), sizes=sizes)
+    report = local_search_partition(
+        graph, spec, _model_for(len(spec.masses)), seed=args.seed, restarts=args.restarts
+    )
+    return report.to_dict()
 
 
 def _cmd_solve_limit(args):
     kernel = fileio.read_graphon(args.graphon)
-    masses = _parse_floats(args.masses)
+    masses = _parse_list(args.masses, float)
     report = minimize_limit_energy(
         kernel,
         _model_for(len(masses)),
@@ -210,22 +200,12 @@ def _cmd_solve_limit(args):
         seed=args.seed,
         restarts=args.restarts,
     )
-    _emit(args, report.to_dict())
-    return EXIT_OK
+    return report.to_dict()
 
 
 def _cmd_kkt(args):
     kernel = fileio.read_graphon(args.graphon)
-    theta = fileio.read_theta(args.theta)
-    report = kkt_residual(kernel, theta)
-    payload = {
-        "phi": list(report.phi),
-        "multiplier": report.multiplier,
-        "residual": report.residual,
-        "vacuous": report.vacuous,
-    }
-    _emit(args, payload)
-    return EXIT_OK
+    return dataclasses.asdict(kkt_residual(kernel, fileio.read_theta(args.theta)))
 
 
 def _config_from_args(args):
@@ -246,15 +226,19 @@ def _config_from_args(args):
                 raise ParameterError(f"config field {k!r}: not one of {', '.join(keys)}")
         merged = {keys[k]: v for k, v in base.items()}
     # flags override the file; what neither gives takes the ExperimentConfig default
-    parse = {"n": _parse_ints, "lambdas": _parse_floats}
+    kinds = {"n": int, "lambdas": float}
     for key, name in keys.items():
         flag = getattr(args, key)
         if flag not in (None, ""):
-            merged[name] = parse[key](flag) if key in parse else flag
-    if merged.get("family") is None:
+            merged[name] = _parse_list(flag, kinds[key]) if key in kinds else flag
+    family = merged.get("family")
+    if family is None:
         raise ParameterError("config field 'family': required")
     if not merged.get("ns"):
         raise ParameterError("config field 'n': required")
+    named = "--{0} (config field '{0}')"
+    _mode_only(merged, "the bipartite family", family == "bipartite", named, gamma=None)
+    _mode_only(merged, "the blocks family", family == "blocks", named, lambdas=None)
     return ExperimentConfig(**merged)
 
 
@@ -269,10 +253,12 @@ def _cmd_converge(args):
             sys.stdout.write(fileio.dumps([r.as_dict() for r in rows]))
         else:
             sys.stdout.write(rows_to_csv(rows))
-    return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built on the first call and shared by
+    every later one, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="graphlim",
         description="Graph-limit toolkit: kernels, cut norms, and cut minimization.",
@@ -287,12 +273,12 @@ def build_parser():
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambdas", help="comma-separated block fractions")
-    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--gamma", type=float, help="bipartite only (default 0.5)")
     p.add_argument("--kernel", help="source graphon file for wrandom")
     p.add_argument("--limit-out", dest="limit_out", help="also write the limit kernel")
     p.add_argument("--out", required=True, help="graph file (kernel file for checkerboard)")
     _common(p, "seed")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, seed=None)
 
     p = sub.add_parser("graphon", help="step graphon of a graph file")
     p.add_argument("--graph", required=True)
@@ -355,13 +341,15 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # a handler returns its payload, or None when it wrote its own files
+        payload = args.func(args)
+        if payload is not None:
+            _emit(args, payload)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -371,6 +359,7 @@ def main(argv=None) -> int:
     except (ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

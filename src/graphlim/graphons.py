@@ -553,8 +553,6 @@ class CutNormForms:
 
 def _ternary_digits(count, base):
     idx = np.arange(base**count)
-    if count == 0:
-        return np.zeros((1, 0), dtype=int)
     return (idx[:, None] // base ** np.arange(count)[None, :]) % base
 
 

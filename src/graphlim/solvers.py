@@ -35,6 +35,9 @@ _BISECTION_BLOCK_ENTRIES = 1 << 14
 
 _TIE_TOL = 1e-12
 _PLATEAU_TOL = 1e-9
+# a minimize_limit_energy restart stops once max|x - P(x - g)| (PGD) or the
+# Frank-Wolfe gap is at most this
+_LIMIT_STOP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -116,9 +119,9 @@ def brute_bisection(g: Graph) -> SolveReport:
     best_cut = None
     best_code = None
     evaluated = 0
+    # the lo popcounts c run over 0..h-1 and the h + 1 hi groups over 0..h,
+    # so every c has its partner group need - c
     for c, ia in enumerate(lo_groups):
-        if not 0 <= need - c < len(hi_groups):
-            continue
         ib = hi_groups[need - c]
         lo_c = left[ia]
         hi_c = right.take(ib, axis=1)  # row-major: a column-major right factor is slower
@@ -693,7 +696,6 @@ def minimize_limit_energy(
     seed=0,
     restarts=1,
     max_iters=5000,
-    tol=1e-10,
 ) -> SolveReport:
     """Minimize the grid-discretized continuum cut energy under mass constraints.
 
@@ -747,7 +749,7 @@ def minimize_limit_energy(
         ]
     )
     xs, energies, iters = solve(
-        kernel_q, model, feasible, feasible.project(starts), max_iters, tol
+        kernel_q, model, feasible, feasible.project(starts), max_iters, _LIMIT_STOP_TOL
     )
     # with two labels, x orders the fields as their full weights would
     best = min(range(restarts), key=lambda r: (energies[r], tuple(xs[r].ravel())))

@@ -61,6 +61,23 @@ def test_homdensity_cli(tmp_path, capsys):
     assert data["value"] == pytest.approx(2 / 3, abs=1e-12)
 
 
+def test_homdensity_of_a_step_graphon_file(tmp_path, capsys):
+    from graphlim.graphons import hom_density_graphon, motif_edge, motif_triangle
+
+    gpath, spath, kpath = (str(tmp_path / f) for f in ("g.json", "s.json", "k.json"))
+    run(capsys, "gen", "--family", "blocks", "--lambdas", "0.45,0.35,0.2", "--n", "20",
+        "--out", gpath)
+    run(capsys, "graphon", "--graph", gpath, "--out", spath)
+    kernel = fileio.read_graphon(spath)
+    for name, motif in (("edge", motif_edge), ("triangle", motif_triangle)):
+        code, out, _ = run(capsys, "homdensity", "--motif", name, "--graphon", spath)
+        assert code == 0
+        assert json.loads(out) == {"motif": name, "value": hom_density_graphon(motif(), kernel)}
+    fileio.write_graphon(kpath, HalfGraphKernel())
+    code, out, err = run(capsys, "homdensity", "--motif", "edge", "--graphon", kpath)
+    assert code == 2 and not out and "expects a step graphon file" in err
+
+
 def test_solve_discrete_cli(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     run(capsys, "gen", "--family", "bipartite", "--gamma", "0.5", "--n", "4", "--out", str(gpath))
@@ -174,6 +191,29 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, config, named):
     cfg.write_text(json.dumps(config))
     code, out, err = run(capsys, "converge", "--config", str(cfg))
     assert code == 2 and named in err and not out
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"family": "halfgraph",\n "n": [8],,\n "grid": 4}', "line 2"),
+        ('{"n": [8]}', "config field 'family'"),
+        ('{"family": "halfgraph"}', "config field 'n'"),
+        ('{"family": "halfgraph", "n": []}', "config field 'n'"),
+        ('{"family": "halfgraph", "n": [8], "grid": 7}', "config field 'grid'"),
+        ('{"family": "halfgraph", "n": [8], "restarts": 0}', "config field 'restarts'"),
+        ('{"family": "halfgraph", "n": [8], "method": "anneal"}', "config field 'method'"),
+        ('{"family": "tree", "n": [8]}', "config field 'family'"),
+    ],
+    ids=["syntax", "no-family", "no-n", "empty-n", "odd-grid", "no-restarts", "method",
+         "family"],
+)
+def test_invalid_config_values_exit_2(tmp_path, capsys, text, named):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "c.csv"
+    cfg.write_text(text)
+    code, stdout, err = run(capsys, "converge", "--config", str(cfg), "--out", str(out))
+    assert code == 2 and named in err
+    assert not stdout and not out.exists()
 
 
 # three-label solve-limit by both methods with scipy made unimportable; the
@@ -694,6 +734,87 @@ def test_flags_the_running_mode_does_not_act_on_exit_2(
     assert not stdout and not pathlib.Path(out).exists()
 
 
+# options that only some families act on: option -> (the family that does,
+# a value); every other family exits 2 naming it, and so does
+# `gen --family checkerboard --limit-out`, whose --out is the kernel itself
+_FAMILY_ONLY = {
+    "gen": {
+        "--kernel": ("wrandom", "{kernel}"),
+        "--seed": ("wrandom", "3"),
+        "--lambdas": ("blocks", "0.5,0.5"),
+        "--gamma": ("bipartite", "0.3"),
+    },
+    "converge": {"--gamma": ("bipartite", 0.3), "--lambdas": ("blocks", [0.5, 0.5])},
+}
+_GEN_FAMILIES = ("complete", "blocks", "bipartite", "halfgraph", "checkerboard", "wrandom")
+_CONVERGE_FAMILIES = ("complete", "blocks", "bipartite", "halfgraph")
+# what each family needs besides the option under test
+_FAMILY_NEEDS = {"blocks": ["--lambdas", "0.5,0.5"], "wrandom": ["--kernel", "{kernel}"]}
+_IGNORED = (
+    [
+        ("gen", family, flag, value)
+        for flag, (owner, value) in _FAMILY_ONLY["gen"].items()
+        for family in _GEN_FAMILIES
+        if family != owner
+    ]
+    + [("gen", "checkerboard", "--limit-out", "{limit}")]
+    + [
+        (source, family, flag, value)
+        for flag, (owner, value) in _FAMILY_ONLY["converge"].items()
+        for family in _CONVERGE_FAMILIES
+        if family != owner
+        for source in ("converge", "config")
+    ]
+)  # 21 gen pairs and 6 converge pairs, the latter as flag and as config key
+
+
+@pytest.mark.parametrize(
+    "command, family, option, value",
+    _IGNORED,
+    ids=[f"{c}-{f}-{o.lstrip('-')}" for c, f, o, _ in _IGNORED],
+)
+def test_options_the_family_does_not_act_on_exit_2(
+    tmp_path, capsys, command, family, option, value
+):
+    files = {k: str(tmp_path / f"{k}.json") for k in ("kernel", "limit", "cfg", "out")}
+    fileio.write_graphon(files["kernel"], ConstantKernel(0.5))
+    needs = [a.format(**files) for a in _FAMILY_NEEDS.get(family, [])]
+    if command == "gen":
+        argv = ["gen", "--family", family, "--n", "4", *needs, option, value.format(**files)]
+        named = option
+    elif command == "converge":
+        argv = ["converge", "--family", family, "--n", "8", "--grid", "4", "--restarts", "1"]
+        argv += [*needs, option, ",".join(map(str, np.ravel(value)))]
+        named = option
+    else:
+        config = {"family": family, "n": [8], "grid": 4, "restarts": 1, option[2:]: value}
+        if family == "blocks":
+            config["lambdas"] = [0.5, 0.5]
+        pathlib.Path(files["cfg"]).write_text(json.dumps(config))
+        argv = ["converge", "--config", files["cfg"]]
+        named = f"config field '{option[2:]}'"
+    code, stdout, err = run(capsys, *argv, "--out", files["out"])
+    assert code == 2 and named in err
+    assert not stdout
+    assert not any(pathlib.Path(files[k]).exists() for k in ("limit", "out"))
+
+
+def test_family_only_options_keep_their_defaults_in_their_family(tmp_path, capsys):
+    kernel = str(tmp_path / "k.json")
+    fileio.write_graphon(kernel, ConstantKernel(0.5))
+
+    def written(*argv):
+        graph, limit = tmp_path / "g.json", tmp_path / "l.json"
+        assert main(["gen", *argv, "--out", str(graph), "--limit-out", str(limit)]) == 0
+        return graph.read_bytes(), limit.read_bytes()
+
+    bipartite = ["--family", "bipartite", "--n", "6"]
+    assert written(*bipartite) == written(*bipartite, "--gamma", "0.5")
+    assert written(*bipartite) != written(*bipartite, "--gamma", "0.3")
+    wrandom = ["--family", "wrandom", "--n", "12", "--kernel", kernel]
+    assert written(*wrandom) == written(*wrandom, "--seed", "0")
+
+
 def test_mode_only_flags_keep_their_defaults_in_their_mode(tmp_path, capsys):
     gpath, spath = str(tmp_path / "g.json"), str(tmp_path / "s.json")
     run(capsys, "gen", "--family", "halfgraph", "--n", "8", "--out", gpath)
@@ -709,3 +830,41 @@ def test_mode_only_flags_keep_their_defaults_in_their_mode(tmp_path, capsys):
     code, out, _ = run(capsys, *heuristic)
     assert code == 0
     assert run(capsys, *heuristic, "--restarts", "32", "--seed", "0")[1] == out
+
+
+# counts the ArgumentParser objects that importing graphlim.cli and two main
+# calls build, in a fresh process: this one has imported graphlim.cli already
+_PARSERS_BUILT = """
+import argparse
+import sys
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counting
+import graphlim.cli
+
+assert built == [], built
+assert graphlim.cli.main(["graphon", "--graph", sys.argv[1]]) == 2
+once = list(built)
+assert graphlim.cli.main(["graphon", "--graph", sys.argv[1]]) == 2
+assert built == once and once.count("graphlim") == 1, built
+"""
+
+
+def test_main_builds_one_parser_and_importing_builds_none(tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARSERS_BUILT, str(tmp_path / "missing.json")],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
