@@ -66,12 +66,14 @@ from .solvers import (
     BlockVertexResult,
     PlateauResult,
     SolveReport,
+    StepMinimum,
     block_vertex_minimum,
     brute_bisection,
     local_search_partition,
     minimize_limit_energy,
     project_box_mean,
     sharpen_plateau,
+    step_limit_minimum,
     swap_descent,
 )
 

@@ -99,7 +99,7 @@ def _emit(args, payload):
                 rendered = str(value)
             lines.append(f"{key},{rendered}")
         text = "\n".join(lines) + "\n"
-    if args.out:
+    if args.out is not None:
         fileio.write_text(args.out, text)
     else:
         sys.stdout.write(text)
@@ -115,16 +115,16 @@ def _cmd_gen(args):
         fileio.write_graphon(args.out, families.checkerboard(args.n))
         return
     if family == "wrandom":
-        if not args.kernel:
+        if args.kernel is None:
             raise ParameterError("gen --family wrandom requires --kernel")
         limit = fileio.read_graphon(args.kernel)
         graph = families.w_random(limit, args.n, args.seed)
     else:
-        lambdas = _parse_list(args.lambdas, float) if args.lambdas else ()
+        lambdas = _parse_list(args.lambdas, float) if args.lambdas is not None else ()
         inst = family_instance(family, args.n, args.gamma, lambdas)
         graph, limit = inst.graph, inst.limit
     fileio.write_graph(args.out, graph)
-    if args.limit_out:
+    if args.limit_out is not None:
         fileio.write_graphon(args.limit_out, limit)
 
 
@@ -144,7 +144,7 @@ def _difference_kernel(a, b):
 def _cmd_cutnorm(args):
     _mode_only(vars(args), "--mode heuristic", args.mode == "heuristic", restarts=32, seed=0)
     a = fileio.read_graphon(args.a)
-    b = fileio.read_graphon(args.b) if args.b else None
+    b = fileio.read_graphon(args.b) if args.b is not None else None
     diff, representable = _difference_kernel(a, b)
     result = cut_norm(diff, mode=args.mode, restarts=args.restarts, seed=args.seed)
     return dict(dataclasses.asdict(result), exact=bool(result.exact and representable))
@@ -179,7 +179,7 @@ def _cmd_solve_discrete(args):
     if args.method == "brute":
         return brute_bisection(graph).to_dict()
     spec = PartitionSpec.bisection()
-    if args.sizes:
+    if args.sizes is not None:
         sizes = _parse_list(args.sizes, int)
         spec = PartitionSpec(tuple(s / graph.n for s in sizes), sizes=sizes)
     report = local_search_partition(
@@ -213,7 +213,7 @@ def _config_from_args(args):
     fields = dataclasses.fields(ExperimentConfig)
     keys = {("n" if f.name == "ns" else f.name): f.name for f in fields}
     merged = {}
-    if args.config:
+    if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 base = json.load(fh)
@@ -229,7 +229,7 @@ def _config_from_args(args):
     kinds = {"n": int, "lambdas": float}
     for key, name in keys.items():
         flag = getattr(args, key)
-        if flag not in (None, ""):
+        if flag is not None:
             merged[name] = _parse_list(flag, kinds[key]) if key in kinds else flag
     family = merged.get("family")
     if family is None:
@@ -346,6 +346,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        # an empty value names no file, number or list, so it never reads as absent
+        for name, value in vars(args).items():
+            if value == "":
+                raise ParameterError(f"--{name.replace('_', '-')}: empty value")
         # a handler returns its payload, or None when it wrote its own files
         payload = args.func(args)
         if payload is not None:

@@ -17,13 +17,19 @@ from .errors import ParameterError
 from .families import bipartite, block_family, complete, halfgraph
 from .fields import LabelModel, PartitionSpec
 from .fileio import format_float, write_text
-from .graphons import EXACT_CUT_NORM_MAX_BLOCKS, cut_norm, step_from_graph
+from .graphons import (
+    CUT_NORM_FORMS_MAX_BLOCKS,
+    EXACT_CUT_NORM_MAX_BLOCKS,
+    cut_norm,
+    step_from_graph,
+)
 from .solvers import (
     BRUTE_BISECTION_MAX_NODES,
     METHODS,
     brute_bisection,
     local_search_partition,
     minimize_limit_energy,
+    step_limit_minimum,
 )
 
 CSV_HEADER = "n,F_n,F_exact_flag,J_star,gap,cutnorm,cutnorm_exact_flag,seconds"
@@ -64,7 +70,7 @@ class ExperimentConfig:
                 noun = "integer" if kind is numbers.Integral else "number"
                 expected = f"a list of {noun}s" if listed else f"a single {noun}"
                 raise ParameterError(f"config field {key!r}: expected {expected}, got {value!r}")
-        if not isinstance(self.out, (str, os.PathLike, type(None))):
+        if not isinstance(self.out, (str, os.PathLike, type(None))) or self.out == "":
             raise ParameterError(f"config field 'out': expected a path, got {self.out!r}")
         object.__setattr__(self, "ns", tuple(int(v) for v in self.ns))
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
@@ -191,21 +197,24 @@ def rows_to_csv(rows) -> str:
 def run_converge(config: ExperimentConfig):
     """Run the convergence experiment; returns rows and writes the CSV."""
     limit = config.instance(config.ns[0]).limit
-    continuum = minimize_limit_energy(
-        limit,
-        LabelModel.spin(),
-        PartitionSpec.bisection().masses,
-        config.grid,
-        method=config.method,
-        seed=config.seed,
-        restarts=config.restarts,
-    )
-    j_star = continuum.value
+    # J* is exact for a step kernel on the grid; the method solves the rest
+    if limit.is_step_on(config.grid) and limit.block_count <= CUT_NORM_FORMS_MAX_BLOCKS:
+        j_star = step_limit_minimum(limit, config.grid).value
+    else:
+        j_star = minimize_limit_energy(
+            limit,
+            LabelModel.spin(),
+            PartitionSpec.bisection().masses,
+            config.grid,
+            method=config.method,
+            seed=config.seed,
+            restarts=config.restarts,
+        ).value
     rows = []
     try:
         for n in config.ns:
             rows.append(_solve_row(config, n, j_star))
     finally:  # a failing row still leaves the completed prefix on disk
-        if config.out:
+        if config.out is not None:
             write_text(config.out, rows_to_csv(rows))
     return rows

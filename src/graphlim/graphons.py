@@ -130,6 +130,10 @@ class _Blocks:
     K x K ``values``.  Every method broadcasts over numpy arrays.
     """
 
+    @property
+    def block_count(self):
+        return len(self.values)
+
     def is_w0(self):
         return bool(np.all(self.values >= -_WIDTH_TOL) and np.all(self.values <= 1.0 + _WIDTH_TOL))
 
@@ -194,10 +198,6 @@ class StepGraphon(_Blocks):
         if not g.is_w0():
             raise ParameterError("W0 graphon requires block values in [0,1]")
         return g
-
-    @property
-    def block_count(self):
-        return self.widths.size
 
     @property
     def boundaries(self):
@@ -564,13 +564,20 @@ def _functional_form(widths, values):
     return float(np.abs(table).max())
 
 
-def _complement_form(widths, values):
-    # sup_S |int_{S x S^c} W| = sup over block measures s of |s'V w - s'V s|;
-    # optima can sit in face interiors, so enumerate faces and solve the
-    # stationarity system on the free coordinates.
+def _face_points(widths, values, mass=None):
+    """The stationary points of q(s) = s'V w - s'V s on the faces of the box.
+
+    Yields, face group by face group, (points, q) with points a (b, m) stack
+    of block measures s and q their values.  On a face each coordinate sits
+    at 0, at w_k, or is free; one vectorised lstsq per free set solves the
+    stationarity system in the free coordinates for every placement of the
+    others.  With a mass the faces are those of {0 <= s <= w, sum s = mass}
+    and the system gains the mass row and its multiplier.  The extrema of q
+    over the set are among these values: a minimal face holding an extremum
+    has it as its unique stationary point.
+    """
     m = widths.size
     cvec = values @ widths
-    best = 0.0
     for free_bits in range(1 << m):
         free = [i for i in range(m) if (free_bits >> i) & 1]
         rest = [i for i in range(m) if not (free_bits >> i) & 1]
@@ -578,22 +585,35 @@ def _complement_form(widths, values):
         s_all = np.zeros((digits.shape[0], m))
         if rest:
             s_all[:, rest] = widths[rest] * (digits == 1)
+        if mass is not None and not free:
+            s_all = s_all[np.abs(s_all.sum(axis=1) - mass) <= _WIDTH_TOL]
         if free:
             a_mat = 2.0 * values[np.ix_(free, free)]
             rhs = cvec[free][:, None] - 2.0 * (values[free, :] @ s_all.T)
+            if mass is not None:
+                # 2 V_ff s_f + mu 1 = c_f - 2 V_fr s_r and sum s_f = mass - sum s_r
+                k = len(free)
+                a_mat = np.block([[a_mat, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
+                rhs = np.vstack((rhs, mass - s_all.sum(axis=1)[None, :]))
             sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
             ok = np.max(np.abs(a_mat @ sol - rhs), axis=0) <= 1e-8 * (
                 1.0 + np.max(np.abs(rhs), axis=0, initial=0.0)
             )
+            sol = sol[: len(free)]
             ok &= np.all(sol >= -1e-12, axis=0)
             ok &= np.all(sol <= widths[free][:, None] + 1e-12, axis=0)
             if not np.any(ok):
                 continue
             s_all = s_all[ok]
             s_all[:, free] = np.clip(sol[:, ok].T, 0.0, widths[free])
-        q = s_all @ cvec - np.einsum("bi,ij,bj->b", s_all, values, s_all)
-        best = max(best, float(np.abs(q).max()))
-    return best
+        if s_all.shape[0]:
+            yield s_all, s_all @ cvec - np.einsum("bi,ij,bj->b", s_all, values, s_all)
+
+
+def _complement_form(widths, values):
+    # sup_S |int_{S x S^c} W| = sup over block measures s of |s'V w - s'V s|;
+    # optima can sit in face interiors, so take it over the face points
+    return max((float(np.abs(q).max()) for _, q in _face_points(widths, values)), default=0.0)
 
 
 def _disjoint_form(widths, values):

@@ -24,7 +24,13 @@ from .functionals import (
     limit_cut_energy,
     limit_energy_gradient,
 )
-from .graphons import Graph, HalfGraphKernel, _pattern_chunk
+from .graphons import (
+    CUT_NORM_FORMS_MAX_BLOCKS,
+    Graph,
+    HalfGraphKernel,
+    _face_points,
+    _pattern_chunk,
+)
 
 BRUTE_BISECTION_MAX_NODES = 28
 METHODS = ("pgd", "frank_wolfe")  # continuum solver methods
@@ -626,7 +632,8 @@ def _pgd(kernel_q, model, feasible, x, max_iters, tol):
     # at its tangent dual.
     kernel, coupling = kernel_q.values, model.coupling
     lip = 2.0 * float(np.abs(coupling).sum()) * float(np.abs(kernel).max()) / len(kernel)
-    step = 1.0 / lip if lip > 0 else 1.0
+    # a zero kernel has g = 0; a subnormal one must not make the step inf
+    step = 1.0 / max(lip, np.finfo(float).tiny)
     energy = _grid_energy(kernel, feasible.weights(x), coupling)
     iters = np.zeros(len(x), dtype=int)
     g = np.empty_like(x)
@@ -834,6 +841,40 @@ def block_vertex_minimum(lambdas, mass=0.5) -> BlockVertexResult:
     keys = keys[order]
     last = np.append(np.any(keys[1:] != keys[:-1], axis=1), True)
     return BlockVertexResult(8.0 * best_g, tuple(vecs[order[last]]))
+
+
+@dataclass(frozen=True)
+class StepMinimum:
+    value: float  # limit_cut_energy of theta
+    theta: ThetaField  # a balanced spin field at the grid minimum
+
+
+def step_limit_minimum(w, m: int) -> StepMinimum:
+    """Exact minimum of the spin energy over balanced fields on the m-cell grid.
+
+    w is a step kernel (or step graphon) whose blocks sit on the grid.  A
+    field's energy depends only on the plus mass A_k of each block, lambda_k
+    being the block's share of the cells: 8 sum_kl w_kl A_k (lambda_l - A_l)
+    over 0 <= A_k <= lambda_k, sum A_k = 1/2.  Its minimum is the least value
+    at the stationary points of the 3^k faces of that set, which
+    `graphons._face_points` enumerates.  The field puts every cell of block k
+    at plus weight A_k / lambda_k for the first best A, and the value is the
+    `limit_cut_energy` of that field.  Blocks are capped at
+    CUT_NORM_FORMS_MAX_BLOCKS.
+    """
+    if not w.is_step_on(m):
+        raise ParameterError("the exact grid minimum needs a step kernel on the grid")
+    if w.block_count > CUT_NORM_FORMS_MAX_BLOCKS:
+        raise CapacityError(
+            f"exact grid minimum capped at {CUT_NORM_FORMS_MAX_BLOCKS} blocks, got {w.block_count}"
+        )
+    idx = w.block_index((np.arange(m) + 0.5) / m)
+    widths = np.bincount(idx, minlength=w.block_count) / m
+    points, q = map(np.concatenate, zip(*_face_points(widths, w.values, 0.5)))
+    best = points[np.argmin(q)]
+    plus = best[idx] / widths[idx]  # idx names only blocks that hold a cell: no width is 0
+    theta = ThetaField(np.column_stack((plus, 1.0 - plus)))
+    return StepMinimum(limit_cut_energy(w, theta, LabelModel.spin()), theta)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from graphlim.errors import ParameterError
 from graphlim.experiments import CSV_HEADER, ExperimentConfig, run_converge
 from graphlim.functionals import cell_averages
 from graphlim.graphons import ConstantKernel, HalfGraphKernel, StepGraphon
+from graphlim.solvers import METHODS, minimize_limit_energy
 
 
 def run(capsys, *argv):
@@ -388,9 +389,9 @@ def test_run_convergence_script_smoke(tmp_path):
     lines = (tmp_path / "complete.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 5
-    # J* may sit an ulp below the exact minimum 2, so the gap is not exactly 0
+    # J* of the complete limit is exact, so every gap is 0
     for line in lines[1:]:
-        assert float(line.split(",")[4]) <= 1e-12
+        assert float(line.split(",")[4]) == 0.0
 
 
 def test_converge_blocks_family_tracks_vertex_minimum(tmp_path):
@@ -420,6 +421,44 @@ def test_converge_blocks_family_tracks_vertex_minimum(tmp_path):
     assert abs(j_star - 0.06) <= 1e-6  # the dumbbell vertex minimum
     gaps = [float(r[4]) for r in rows]
     assert gaps[1] <= gaps[0] + 1e-9
+
+
+def test_converge_takes_j_star_of_an_on_grid_step_limit_without_the_method(
+    capsys, monkeypatch
+):
+    import graphlim.experiments as exp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an on-grid step limit needs no minimize_limit_energy")
+
+    monkeypatch.setattr(exp, "minimize_limit_energy", refuse)
+    argv = ["converge", "--family", "blocks", "--lambdas", "0.3,0.3,0.4", "--n", "10,20"]
+    argv += ["--grid", "20", "--restarts", "3", "--seed", "2"]
+    tables = []
+    for method in METHODS:
+        code, out, _ = run(capsys, *argv, "--method", method)
+        assert code == 0
+        tables.append([line.rsplit(",", 1)[0] for line in out.splitlines()])
+    assert tables[0] == tables[1]
+    for line in tables[0][1:]:
+        assert abs(float(line.split(",")[3]) - 0.16) <= 1e-12  # 8 * 0.2 * 0.1
+
+
+def test_converge_solves_an_off_grid_limit_with_its_method(capsys, monkeypatch):
+    import graphlim.experiments as exp
+
+    methods = []
+
+    def recording(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return minimize_limit_energy(*args, **kwargs)
+
+    monkeypatch.setattr(exp, "minimize_limit_energy", recording)
+    argv = ["converge", "--family", "bipartite", "--gamma", "0.3", "--n", "8"]
+    argv += ["--grid", "16", "--restarts", "2"]
+    for method in METHODS:
+        assert run(capsys, *argv, "--method", method)[0] == 0
+    assert methods == list(METHODS)
 
 
 def test_converge_config_file_with_flag_override(tmp_path, capsys):
@@ -746,6 +785,29 @@ _FAMILY_ONLY = {
     },
     "converge": {"--gamma": ("bipartite", 0.3), "--lambdas": ("blocks", [0.5, 0.5])},
 }
+# an empty value is not an absent flag or key: each exits 2 naming it
+_CONVERGE_HALF = ["converge", "--family", "halfgraph", "--n", "8"]
+_CONVERGE_HALF += ["--grid", "4", "--restarts", "1"]
+_EMPTY = [
+    (_CONVERGE_HALF + ["--lambdas", "", "--out", "{out}"], "--lambdas"),
+    (_CONVERGE_HALF + ["--config", "", "--out", "{out}"], "--config"),
+    (_CONVERGE_HALF + ["--out", ""], "--out"),
+    (["converge", "--config", "{cfg}"], "config field 'out'"),
+    (["gen", "--family", "halfgraph", "--n", "4", "--limit-out", "", "--out", "{out}"],
+     "--limit-out"),
+]
+
+
+@pytest.mark.parametrize("argv, named", _EMPTY, ids=[n for _, n in _EMPTY])
+def test_empty_values_exit_2_naming_the_flag(tmp_path, capsys, argv, named):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    config = {"family": "halfgraph", "n": [8], "grid": 4, "restarts": 1, "out": ""}
+    cfg.write_text(json.dumps(config))
+    code, stdout, err = run(capsys, *(a.format(cfg=cfg, out=out) for a in argv))
+    assert code == 2 and named in err
+    assert not stdout and not out.exists()
+
+
 _GEN_FAMILIES = ("complete", "blocks", "bipartite", "halfgraph", "checkerboard", "wrandom")
 _CONVERGE_FAMILIES = ("complete", "blocks", "bipartite", "halfgraph")
 # what each family needs besides the option under test

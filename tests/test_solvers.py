@@ -21,9 +21,11 @@ from graphlim.functionals import (
 from graphlim.graphons import (
     BipartiteSplitKernel,
     BlockDiagonalKernel,
+    CheckerboardKernel,
     ConstantKernel,
     HalfGraphKernel,
     StepGraphon,
+    StepKernel,
 )
 from graphlim.solvers import (
     block_vertex_minimum,
@@ -34,6 +36,7 @@ from graphlim.solvers import (
     project_polytope,
     project_rows_simplex,
     sharpen_plateau,
+    step_limit_minimum,
     swap_descent,
     transport_lmo,
 )
@@ -829,6 +832,13 @@ def test_minimize_reports_feasible_fields():
         )
 
 
+def test_minimize_takes_finite_steps_on_a_subnormal_kernel():
+    # 1/L overflowed to inf here, and inf * 0 raised "invalid value"
+    for method in ("pgd", "frank_wolfe"):
+        rep = minimize_limit_energy(ConstantKernel(1e-310), spin, (0.5, 0.5), 12, method=method)
+        assert rep.value == limit_cut_energy(ConstantKernel(1e-310), rep.theta, spin)
+
+
 def test_minimize_value_never_beats_vertex_oracle():
     for trial in range(5):
         rng = philox(300 + trial)
@@ -1205,6 +1215,65 @@ def test_vertex_minimum_equals_exact_vertex_enumeration(parts, den, where):
                 g = 8 * rest * (f - rest)
                 best = g if best is None else min(best, g)
     assert abs(res.value - float(best)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exact grid minimum of step kernels
+
+
+@st.composite
+def grid_step_kernels(draw):
+    m = draw(st.sampled_from([12, 24]))
+    k = draw(st.integers(1, 5))
+    cuts = draw(st.lists(st.integers(1, m - 1), min_size=k - 1, max_size=k - 1, unique=True))
+    pairs = k * (k + 1) // 2
+    upper = draw(st.lists(st.floats(0.0, 1.0), min_size=pairs, max_size=pairs))
+    values = np.zeros((k, k))
+    values[np.triu_indices(k)] = upper
+    values += np.triu(values, 1).T
+    return StepKernel(np.array([0, *sorted(cuts), m]) / m, values), m
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_step_kernels())
+def test_step_limit_minimum_is_a_feasible_field_never_above_pgd(case):
+    kernel, m = case
+    res = step_limit_minimum(kernel, m)
+    plus = res.theta.weights[:, 0]
+    assert res.theta.m == m and np.all((plus >= 0.0) & (plus <= 1.0))
+    assert abs(plus.mean() - 0.5) <= 1e-12
+    assert res.value == limit_cut_energy(kernel, res.theta, spin)
+    pgd = minimize_limit_energy(kernel, spin, (0.5, 0.5), m, seed=m, restarts=16)
+    assert res.value <= pgd.value + 1e-12
+
+
+@pytest.mark.parametrize(
+    "lams, m",
+    [((0.45, 0.35, 0.2), 20), ((0.3, 0.3, 0.4), 20), ((0.5, 0.5), 8),
+     ((1 / 3, 1 / 3, 1 / 3), 12), ((0.1, 0.2, 0.3, 0.4), 10)],
+)
+def test_step_limit_minimum_equals_the_vertex_minimum_on_block_kernels(lams, m):
+    value = step_limit_minimum(BlockDiagonalKernel(lams), m).value
+    assert abs(value - block_vertex_minimum(lams, 0.5).value) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma, m", [(0.5, 48), (0.3, 20), (0.25, 8), (0.75, 16)])
+def test_step_limit_minimum_on_the_bipartite_kernel(gamma, m):
+    value = step_limit_minimum(BipartiteSplitKernel(gamma), m).value
+    assert abs(value - 4.0 * gamma * (1.0 - gamma)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 16, 48])
+def test_step_limit_minimum_on_the_complete_kernel_is_two(m):
+    assert step_limit_minimum(ConstantKernel(1.0), m).value == 2.0
+
+
+def test_step_limit_minimum_needs_a_step_kernel_on_the_grid_within_the_cap():
+    for kernel in (BipartiteSplitKernel(0.3), HalfGraphKernel()):
+        with pytest.raises(ParameterError):
+            step_limit_minimum(kernel, 16)
+    with pytest.raises(CapacityError):
+        step_limit_minimum(CheckerboardKernel(6), 12)
 
 
 # ---------------------------------------------------------------------------
