@@ -13,7 +13,6 @@ from .families import (
     checkerboard,
     complete,
     halfgraph,
-    sign_sin_field,
     w_random,
 )
 from .fields import (
@@ -21,23 +20,15 @@ from .fields import (
     PartitionSpec,
     ThetaField,
     recovery_sequence,
-    repair_mass,
     theta_from_labels,
-    window_average,
 )
 from .functionals import (
-    BlockReduction,
     KKTReport,
-    block_reduce,
     cell_averages,
     discrete_cut_energy,
-    halfgraph_profile_energy,
-    halfgraph_profiles,
     kkt_residual,
     limit_cut_energy,
     limit_energy_gradient,
-    profile_energy_integral,
-    spin_energy_gradient,
 )
 from .graphons import (
     AnalyticGraphon,
@@ -45,15 +36,11 @@ from .graphons import (
     BlockDiagonalKernel,
     CheckerboardKernel,
     ConstantKernel,
-    CutNormForms,
     CutNormResult,
     Graph,
     HalfGraphKernel,
     StepGraphon,
-    cut_distance_blocks,
     cut_norm,
-    cut_norm_forms,
-    degree,
     hom_density_graph,
     hom_density_graphon,
     motif_cycle4,
@@ -64,7 +51,6 @@ from .graphons import (
 )
 from .solvers import (
     BlockVertexResult,
-    PlateauResult,
     SolveReport,
     StepMinimum,
     block_vertex_minimum,
@@ -72,7 +58,6 @@ from .solvers import (
     local_search_partition,
     minimize_limit_energy,
     project_box_mean,
-    sharpen_plateau,
     step_limit_minimum,
     swap_descent,
 )

@@ -17,15 +17,11 @@ from .errors import ParameterError
 from .families import bipartite, block_family, complete, halfgraph
 from .fields import LabelModel, PartitionSpec
 from .fileio import format_float, write_text
-from .graphons import (
-    CUT_NORM_FORMS_MAX_BLOCKS,
-    EXACT_CUT_NORM_MAX_BLOCKS,
-    cut_norm,
-    step_from_graph,
-)
+from .graphons import EXACT_CUT_NORM_MAX_BLOCKS, cut_norm, step_from_graph
 from .solvers import (
     BRUTE_BISECTION_MAX_NODES,
     METHODS,
+    STEP_MINIMUM_MAX_BLOCKS,
     brute_bisection,
     local_search_partition,
     minimize_limit_energy,
@@ -198,7 +194,7 @@ def run_converge(config: ExperimentConfig):
     """Run the convergence experiment; returns rows and writes the CSV."""
     limit = config.instance(config.ns[0]).limit
     # J* is exact for a step kernel on the grid; the method solves the rest
-    if limit.is_step_on(config.grid) and limit.block_count <= CUT_NORM_FORMS_MAX_BLOCKS:
+    if limit.is_step_on(config.grid) and limit.block_count <= STEP_MINIMUM_MAX_BLOCKS:
         j_star = step_limit_minimum(limit, config.grid).value
     else:
         j_star = minimize_limit_energy(

@@ -112,11 +112,3 @@ def w_random(w, n: int, seed: int) -> Graph:
     i, j = np.triu_indices(n, 1)  # row-major, the order of the draws
     keep = draws < w.value(xs[i], xs[j])
     return Graph(n, np.stack([i[keep], j[keep]], axis=1) + 1)
-
-
-def sign_sin_field(n: int, m: int) -> np.ndarray:
-    """Spin values sign(sin(n pi x)) sampled at the midpoints of m cells."""
-    if n < 1 or m < 1 or m % n != 0:
-        raise ParameterError("cell count must be a positive multiple of n")
-    mids = (np.arange(m) + 0.5) / m
-    return np.sign(np.sin(n * np.pi * mids))

@@ -145,9 +145,10 @@ class PartitionSpec:
     def __post_init__(self):
         masses = tuple(float(v) for v in self.masses)
         object.__setattr__(self, "masses", masses)
-        if any(v < 0.0 for v in masses):
+        # written so that NaN masses fail them too
+        if not all(v >= 0.0 for v in masses):
             raise ParameterError("masses must be nonnegative")
-        if abs(sum(masses) - 1.0) > _ROW_TOL:
+        if not abs(sum(masses) - 1.0) <= _ROW_TOL:
             raise ParameterError("masses must sum to 1")
         if self.sizes is not None:
             sizes = tuple(int(v) for v in self.sizes)
@@ -210,46 +211,3 @@ def _rational_row(row, span):
     raise ParameterError(
         "cell weights are not rational with denominator dividing the refinement"
     )
-
-
-def repair_mass(theta: ThetaField, spec: PartitionSpec) -> ThetaField:
-    """Minimal deterministic relabeling to hit exact per-label counts.
-
-    The lowest-indexed cells of each over-full label are reassigned to the
-    under-full labels in label order; the result is idempotent and changes
-    exactly sum_k max(0, count_k - target_k) cells.
-    """
-    if not theta.is_spin_valued(tol=1e-12):
-        raise ParameterError("repair_mass requires a spin-valued field")
-    m, nlab = theta.m, theta.n_labels
-    targets = spec.sizes_for(m)
-    if len(targets) != nlab:
-        raise InfeasibleError("partition spec has the wrong number of labels")
-    idx = theta.label_indices()
-    counts = np.bincount(idx, minlength=nlab)
-    if np.array_equal(counts, targets):
-        return theta
-    surplus = counts - np.asarray(targets)
-    # the donors are the first surplus cells of each over-full label, in cell order
-    seen = np.cumsum(np.eye(nlab, dtype=np.intp)[idx], axis=0)[np.arange(m), idx]
-    donors = np.flatnonzero(seen <= surplus[idx])
-    new_idx = idx.copy()
-    new_idx[donors] = np.repeat(np.arange(nlab), np.maximum(-surplus, 0))
-    return ThetaField(np.eye(nlab)[new_idx])
-
-
-def window_average(values, width: float):
-    """Per-window means of a cell sequence; width must tile the grid."""
-    if isinstance(values, ThetaField):
-        arr = values.weights
-    else:
-        arr = np.asarray(values, dtype=float)
-    m = arr.shape[0]
-    cells = width * m
-    k = int(round(cells))
-    if k < 1 or abs(cells - k) > 1e-9:
-        raise ParameterError("window width must be a positive multiple of 1/m")
-    if m % k != 0:
-        raise ParameterError("windows must tile the grid exactly")
-    shaped = arr.reshape((m // k, k) + arr.shape[1:])
-    return shaped.mean(axis=1)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ParameterError
+from .errors import ParameterError
 from .fields import LabelModel, ThetaField
-from .graphons import AnalyticGraphon, BlockDiagonalKernel, Graph, StepGraphon
+from .graphons import AnalyticGraphon, Graph, StepGraphon
 
 _INTERIOR_TOL = 1e-9
 
@@ -49,14 +49,6 @@ def _weights_of(theta, stacked=False):
     if arr.ndim < 2 or (arr.ndim > 2 and not stacked):
         raise ParameterError("theta must be an m x N weight matrix")
     return arr
-
-
-def _plus_weights(theta, caller):
-    """Plus-label weights of a spin field: column 0, as `LabelModel.spin()` orders it."""
-    weights = _weights_of(theta)
-    if weights.shape[1] != 2:
-        raise ParameterError(f"{caller} needs a two-label field, got {weights.shape[1]} labels")
-    return weights[:, 0]
 
 
 def discrete_cut_energy(g: Graph, u, model: LabelModel) -> float:
@@ -111,23 +103,6 @@ def limit_energy_gradient(w, theta, model: LabelModel) -> np.ndarray:
     return _grid_gradient(*_checked(w, theta, model), model.coupling)
 
 
-def _spin_product(w, theta, caller):
-    # the plus weights x and Wbar (1 - 2x), for the spin gradient and the KKT phi
-    x = _plus_weights(theta, caller)
-    return x, cell_averages(w, x.size).values @ (1.0 - 2.0 * x)
-
-
-def spin_energy_gradient(w, theta) -> np.ndarray:
-    """Derivative of the spin energy in the plus weight (column 0) per cell.
-
-    Both columns move together (the minus weight is 1 minus the plus weight),
-    which reduces to (8/m^2) sum_b Wbar_ab (1 - 2 theta(b)); it vanishes at
-    the half-constant field.  Spin means `LabelModel.spin()`.
-    """
-    x, product = _spin_product(w, theta, "spin_energy_gradient")
-    return (8.0 / (x.size * x.size)) * product
-
-
 @dataclass(frozen=True)
 class KKTReport:
     """Stationarity diagnostic for the spin problem under a mass constraint."""
@@ -144,97 +119,14 @@ def kkt_residual(w, theta) -> KKTReport:
     The multiplier is the mean of phi over cells whose plus weight (column 0)
     lies in (1e-9, 1 - 1e-9); the residual is the max deviation of phi there.
     """
-    x, product = _spin_product(w, theta, "kkt_residual")
-    phi = product / x.size
+    weights = _weights_of(theta)
+    if weights.shape[1] != 2:
+        raise ParameterError(f"kkt_residual needs a two-label field, got {weights.shape[1]} labels")
+    x = weights[:, 0]
+    phi = (cell_averages(w, x.size).values @ (1.0 - 2.0 * x)) / x.size
     interior = (x > _INTERIOR_TOL) & (x < 1.0 - _INTERIOR_TOL)
     if not np.any(interior):
         return KKTReport(phi, None, 0.0, True)
     mult = float(phi[interior].mean())
     res = float(np.abs(phi[interior] - mult).max())
     return KKTReport(phi, mult, res, False)
-
-
-@dataclass(frozen=True)
-class BlockReduction:
-    masses: np.ndarray  # per-block mass of the plus label
-    reduced: float  # sum_k A_k (lambda_k - A_k)
-    energy: float  # 8 * reduced, the spin energy on the block kernel
-
-
-def block_reduce(lambdas, theta) -> BlockReduction:
-    """Reduce a spin field on a block-diagonal kernel to per-block masses.
-
-    The grid must refine the block partition; the returned energy equals the
-    continuum spin energy of the same field (plus weight in column 0).
-    """
-    x = _plus_weights(theta, "block_reduce")
-    kernel = BlockDiagonalKernel(lambdas)
-    m = x.size
-    if not kernel.is_step_on(m):
-        raise ParameterError("grid does not refine the block partition")
-    edges = np.round(kernel.boundaries * m).astype(int)
-    masses = np.asarray([x[a:b].sum() / m for a, b in zip(edges[:-1], edges[1:])])
-    reduced = float((masses * (kernel.lambdas - masses)).sum())
-    return BlockReduction(masses, reduced, 8.0 * reduced)
-
-
-def halfgraph_profiles(theta):
-    """Cumulative plus-mass paths (theta's column 0) of the two halves of a spin field."""
-    x = _plus_weights(theta, "halfgraph_profiles")
-    m = x.size
-    if m % 2 != 0:
-        raise ParameterError("profiles need an even cell count")
-    step = 1.0 / m
-    w1 = np.concatenate(([0.0], np.cumsum(x[: m // 2]) * step))
-    w2 = np.concatenate(([0.0], np.cumsum(x[m // 2 :]) * step))
-    return w1, w2
-
-
-def profile_energy_integral(w1, w2) -> float:
-    """Exact piecewise integral of the cumulative-profile energy integrand.
-
-    Profiles are piecewise-linear node values on a uniform grid of [0, 1/2];
-    no boundary conditions are imposed here.
-    """
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    if w1.shape != w2.shape or w1.ndim != 1 or w1.size < 2:
-        raise ParameterError("profiles must be equal-length node-value arrays")
-    k = w1.size - 1
-    hx = 0.5 / k
-    d1 = np.diff(w1)
-    d2 = np.diff(w2)
-    nodes = np.arange(k + 1) * hx
-    sq = 0.5 * (nodes[1:] ** 2 - nodes[:-1] ** 2)
-    s1 = d1 / hx
-    s2 = d2 / hx
-    term1 = float((s1 * (0.5 * hx - sq)).sum())
-    term2 = float((s2 * sq).sum())
-    trapz = 0.5 * (w1[:-1] + w1[1:]) * hx
-    term3 = float((s2 * trapz).sum())
-    return 8.0 * (term1 + term2 - 2.0 * term3)
-
-
-def halfgraph_profile_energy(w1, w2) -> float:
-    """Spin energy of the half-graph kernel in cumulative-profile variables.
-
-    The profiles are piecewise-linear on a uniform grid of [0, 1/2] with
-    slopes in [0,1], vanish at 0, and their endpoint values sum to 1/2
-    (the balanced-mass constraint); the integrand is integrated exactly.
-    """
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    if w1.shape != w2.shape or w1.ndim != 1 or w1.size < 2:
-        raise ParameterError("profiles must be equal-length node-value arrays")
-    if abs(w1[0]) > 1e-12 or abs(w2[0]) > 1e-12:
-        raise InfeasibleError("profiles must start at 0")
-    if abs(w1[-1] + w2[-1] - 0.5) > 1e-9:
-        raise InfeasibleError("profile endpoints must sum to 1/2")
-    hx = 0.5 / (w1.size - 1)
-    d1 = np.diff(w1)
-    d2 = np.diff(w2)
-    if np.any(d1 < -1e-9) or np.any(d1 > hx + 1e-9):
-        raise InfeasibleError("first profile slope leaves [0,1]")
-    if np.any(d2 < -1e-9) or np.any(d2 > hx + 1e-9):
-        raise InfeasibleError("second profile slope leaves [0,1]")
-    return profile_energy_integral(w1, w2)

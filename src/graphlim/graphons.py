@@ -7,7 +7,6 @@ averages on any grid are closed-form rather than quadrature.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,8 +15,6 @@ import numpy as np
 from .errors import CapacityError, ParameterError
 
 EXACT_CUT_NORM_MAX_BLOCKS = 22
-CUT_NORM_FORMS_MAX_BLOCKS = 10
-CUT_DISTANCE_MAX_BLOCKS = 8
 # keeps the pair keys i * (n + 1) + j that sort a graph's edges inside int64
 GRAPH_MAX_NODES = 1 << 31
 # entries per block of summed column tables in the exact cut norm (256 KiB)
@@ -182,9 +179,10 @@ class StepGraphon(_Blocks):
         self.values = np.asarray(self.values, dtype=float)
         if self.widths.ndim != 1 or self.widths.size == 0:
             raise ParameterError("widths must be a nonempty 1-d sequence")
-        if np.any(self.widths <= 0.0):
+        # written so that NaN widths fail them too
+        if not np.all(self.widths > 0.0):
             raise ParameterError("block widths must be strictly positive")
-        if abs(float(self.widths.sum()) - 1.0) > _WIDTH_TOL:
+        if not abs(float(self.widths.sum()) - 1.0) <= _WIDTH_TOL:
             raise ParameterError("block widths must sum to 1")
         m = self.widths.size
         if self.values.shape != (m, m):
@@ -328,9 +326,10 @@ class BlockDiagonalKernel(StepKernel):
 
     def __init__(self, lambdas):
         lams = np.asarray(lambdas, dtype=float)
-        if lams.ndim != 1 or lams.size == 0 or np.any(lams <= 0.0):
+        # written so that NaN fractions fail them too
+        if lams.ndim != 1 or lams.size == 0 or not np.all(lams > 0.0):
             raise ParameterError("block fractions must be strictly positive")
-        if abs(float(lams.sum()) - 1.0) > _WIDTH_TOL:
+        if not abs(float(lams.sum()) - 1.0) <= _WIDTH_TOL:
             raise ParameterError("block fractions must sum to 1")
         self.lambdas = lams
         super().__init__(_boundaries_of(lams), np.eye(lams.size))
@@ -390,13 +389,6 @@ def analytic_from_kind(kind: str, params: dict) -> AnalyticGraphon:
     if kind not in _ANALYTIC_KINDS:
         raise ParameterError(f"unknown analytic kernel kind {kind!r}")
     return _ANALYTIC_KINDS[kind](**params)
-
-
-def degree(w, x) -> float:
-    """Degree of the point x as a node of the kernel: integral of W(x, .)."""
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError("x must lie in [0,1]")
-    return w.slice_integral(x, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -537,173 +529,6 @@ def cut_norm(w: StepGraphon, mode="exact", restarts=32, seed=0) -> CutNormResult
             ):
                 best = (val, s, t)
     return CutNormResult(best[0], best[1], best[2], False)
-
-
-# ---------------------------------------------------------------------------
-# the four equivalent-form suprema, each by an independent exact enumeration
-
-
-@dataclass(frozen=True)
-class CutNormForms:
-    two_set: float  # sup over S, T
-    complement: float  # sup over S against its complement
-    disjoint: float  # sup over disjoint S, T
-    functional: float  # sup over [0,1]-valued f, g
-
-
-def _ternary_digits(count, base):
-    idx = np.arange(base**count)
-    return (idx[:, None] // base ** np.arange(count)[None, :]) % base
-
-
-def _functional_form(widths, values):
-    m = widths.size
-    contrib = values * widths[:, None] * widths[None, :]
-    pats = _pattern_chunk(0, 1 << m, m)
-    table = pats @ contrib @ pats.T
-    return float(np.abs(table).max())
-
-
-def _face_points(widths, values, mass=None):
-    """The stationary points of q(s) = s'V w - s'V s on the faces of the box.
-
-    Yields, face group by face group, (points, q) with points a (b, m) stack
-    of block measures s and q their values.  On a face each coordinate sits
-    at 0, at w_k, or is free; one vectorised lstsq per free set solves the
-    stationarity system in the free coordinates for every placement of the
-    others.  With a mass the faces are those of {0 <= s <= w, sum s = mass}
-    and the system gains the mass row and its multiplier.  The extrema of q
-    over the set are among these values: a minimal face holding an extremum
-    has it as its unique stationary point.
-    """
-    m = widths.size
-    cvec = values @ widths
-    for free_bits in range(1 << m):
-        free = [i for i in range(m) if (free_bits >> i) & 1]
-        rest = [i for i in range(m) if not (free_bits >> i) & 1]
-        digits = _ternary_digits(len(rest), 2)
-        s_all = np.zeros((digits.shape[0], m))
-        if rest:
-            s_all[:, rest] = widths[rest] * (digits == 1)
-        if mass is not None and not free:
-            s_all = s_all[np.abs(s_all.sum(axis=1) - mass) <= _WIDTH_TOL]
-        if free:
-            a_mat = 2.0 * values[np.ix_(free, free)]
-            rhs = cvec[free][:, None] - 2.0 * (values[free, :] @ s_all.T)
-            if mass is not None:
-                # 2 V_ff s_f + mu 1 = c_f - 2 V_fr s_r and sum s_f = mass - sum s_r
-                k = len(free)
-                a_mat = np.block([[a_mat, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
-                rhs = np.vstack((rhs, mass - s_all.sum(axis=1)[None, :]))
-            sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-            ok = np.max(np.abs(a_mat @ sol - rhs), axis=0) <= 1e-8 * (
-                1.0 + np.max(np.abs(rhs), axis=0, initial=0.0)
-            )
-            sol = sol[: len(free)]
-            ok &= np.all(sol >= -1e-12, axis=0)
-            ok &= np.all(sol <= widths[free][:, None] + 1e-12, axis=0)
-            if not np.any(ok):
-                continue
-            s_all = s_all[ok]
-            s_all[:, free] = np.clip(sol[:, ok].T, 0.0, widths[free])
-        if s_all.shape[0]:
-            yield s_all, s_all @ cvec - np.einsum("bi,ij,bj->b", s_all, values, s_all)
-
-
-def _complement_form(widths, values):
-    # sup_S |int_{S x S^c} W| = sup over block measures s of |s'V w - s'V s|;
-    # optima can sit in face interiors, so take it over the face points
-    return max((float(np.abs(q).max()) for _, q in _face_points(widths, values)), default=0.0)
-
-
-def _disjoint_form(widths, values):
-    # sup over disjoint S, T.  Per block the pair of measures lives in the
-    # triangle s + t <= w; maxima sit at triangle vertices or on the
-    # hypotenuse, so enumerate vertex states and solve for the free
-    # hypotenuse coordinates.
-    m = widths.size
-    best = 0.0
-    for free_bits in range(1 << m):
-        free = [i for i in range(m) if (free_bits >> i) & 1]
-        rest = [i for i in range(m) if not (free_bits >> i) & 1]
-        digits = _ternary_digits(len(rest), 3)
-        s_all = np.zeros((digits.shape[0], m))
-        t_all = np.zeros((digits.shape[0], m))
-        if rest:
-            s_all[:, rest] = widths[rest] * (digits == 1)
-            t_all[:, rest] = widths[rest] * (digits == 2)
-        if free:
-            wf = widths[free]
-            a_mat = 2.0 * values[np.ix_(free, free)]
-            rhs = values[free, :] @ (t_all - s_all).T + (
-                values[np.ix_(free, free)] @ wf
-            )[:, None]
-            sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-            ok = np.max(np.abs(a_mat @ sol - rhs), axis=0) <= 1e-8 * (
-                1.0 + np.max(np.abs(rhs), axis=0, initial=0.0)
-            )
-            ok &= np.all(sol >= -1e-12, axis=0)
-            ok &= np.all(sol <= wf[:, None] + 1e-12, axis=0)
-            if not np.any(ok):
-                continue
-            s_all, t_all = s_all[ok], t_all[ok]
-            sigma = np.clip(sol[:, ok].T, 0.0, wf)
-            s_all[:, free] = sigma
-            t_all[:, free] = wf - sigma
-        vals = np.einsum("bi,ij,bj->b", s_all, values, t_all)
-        best = max(best, float(np.abs(vals).max()))
-    return best
-
-
-def cut_norm_forms(w: StepGraphon) -> CutNormForms:
-    """All four definitional suprema of the cut norm, each computed exactly.
-
-    Intended for equality testing: the two-set and functional forms agree,
-    as do the complement and disjoint forms (the pairs generally differ).
-    """
-    if not isinstance(w, StepGraphon):
-        raise ParameterError("cut_norm_forms expects a StepGraphon")
-    m = w.block_count
-    if m > CUT_NORM_FORMS_MAX_BLOCKS:
-        raise CapacityError(
-            f"cut norm forms capped at {CUT_NORM_FORMS_MAX_BLOCKS} blocks, got {m}"
-        )
-    two_set, _, _ = _exact_cut_norm(w.widths, w.values)
-    return CutNormForms(
-        two_set=two_set,
-        complement=_complement_form(w.widths, w.values),
-        disjoint=_disjoint_form(w.widths, w.values),
-        functional=_functional_form(w.widths, w.values),
-    )
-
-
-def cut_distance_blocks(u: StepGraphon, w: StepGraphon) -> float:
-    """Min over block permutations of the exact cut norm of the difference.
-
-    Restricted to equal-width step graphons; an upper bound on the cut
-    distance over all measure-preserving relabelings.
-    """
-    if u.block_count != w.block_count:
-        raise ParameterError("graphons must have the same number of blocks")
-    if not (u.equal_width() and w.equal_width()):
-        raise ParameterError("cut distance requires equal-width blocks")
-    m = u.block_count
-    if m > CUT_DISTANCE_MAX_BLOCKS:
-        raise CapacityError(
-            f"cut distance capped at {CUT_DISTANCE_MAX_BLOCKS} blocks, got {m}"
-        )
-    pats = _pattern_chunk(0, 1 << m, m)
-    scale = 1.0 / (m * m)
-    best = np.inf
-    for perm in itertools.permutations(range(m)):
-        idx = np.asarray(perm)
-        diff = (u.values[np.ix_(idx, idx)] - w.values) * scale
-        cols = pats @ diff
-        vals = np.maximum(
-            np.maximum(cols, 0.0).sum(axis=1), np.maximum(-cols, 0.0).sum(axis=1)
-        )
-        best = min(best, float(vals.max()))
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -17,30 +17,23 @@ from .fields import LabelModel, PartitionSpec, ThetaField
 from .functionals import (
     _grid_energy,
     _grid_gradient,
-    _plus_weights,
     cell_averages,
     discrete_cut_energy,
     kkt_residual,
     limit_cut_energy,
     limit_energy_gradient,
 )
-from .graphons import (
-    CUT_NORM_FORMS_MAX_BLOCKS,
-    Graph,
-    HalfGraphKernel,
-    _face_points,
-    _pattern_chunk,
-)
+from .graphons import Graph, _pattern_chunk
 
 BRUTE_BISECTION_MAX_NODES = 28
 METHODS = ("pgd", "frank_wolfe")  # continuum solver methods
 VERTEX_ENUM_MAX_BLOCKS = 20
+STEP_MINIMUM_MAX_BLOCKS = 10
 # cuts per float32 block in brute_bisection (64 KiB): with at most 16 terms
 # per cut a block's GEMM has M*N*K <= 2^18, which OpenBLAS runs on one thread
 _BISECTION_BLOCK_ENTRIES = 1 << 14
 
 _TIE_TOL = 1e-12
-_PLATEAU_TOL = 1e-9
 # a minimize_limit_energy restart stops once max|x - P(x - g)| (PGD) or the
 # Frank-Wolfe gap is at most this
 _LIMIT_STOP_TOL = 1e-10
@@ -740,7 +733,8 @@ def minimize_limit_energy(
     masses = np.asarray(masses, dtype=float)
     if masses.size != model.n_labels:
         raise InfeasibleError("mass vector length must match the label count")
-    if np.any(masses < -_TIE_TOL) or abs(float(masses.sum()) - 1.0) > 1e-12:
+    # written so that NaN masses fail it too
+    if not (np.all(masses >= -_TIE_TOL) and abs(float(masses.sum()) - 1.0) <= 1e-12):
         raise InfeasibleError("masses must be a probability vector")
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}")
@@ -803,8 +797,8 @@ def block_vertex_minimum(lambdas, mass=0.5) -> BlockVertexResult:
         raise CapacityError(
             f"vertex enumeration capped at {VERTEX_ENUM_MAX_BLOCKS} blocks"
         )
-    if np.any(lams <= 0.0):
-        raise ParameterError("block fractions must be strictly positive")
+    if not np.all((lams > 0.0) & np.isfinite(lams)):
+        raise ParameterError("block fractions must be finite and strictly positive")
     if not -_TIE_TOL <= mass <= float(lams.sum()) + _TIE_TOL:
         raise InfeasibleError("mass must lie between 0 and the total block mass")
     # subset sums by doubling: bit k of a code is block k, and the entry of a
@@ -849,6 +843,59 @@ class StepMinimum:
     theta: ThetaField  # a balanced spin field at the grid minimum
 
 
+def _face_points(widths, values, mass):
+    """The stationary points of q(s) = s'V w - s'V s on the faces of
+    {0 <= s <= w, sum s = mass}.
+
+    Yields, face group by face group, (points, q) with points a (b, m) stack
+    of block measures s and q their values.  On a face each coordinate sits
+    at 0, at w_k, or is free; one vectorised lstsq per free set solves the
+    stationarity system in the free coordinates and the mass multiplier for
+    every placement of the others.  The extrema of q over the set are among
+    these values: a minimal face holding an extremum has it as its unique
+    stationary point.
+    """
+    m = widths.size
+    cvec = values @ widths
+    for free_bits in range(1 << m):
+        free = [i for i in range(m) if (free_bits >> i) & 1]
+        rest = [i for i in range(m) if not (free_bits >> i) & 1]
+        # every placement of the other blocks at 0 or w, least significant first
+        digits = (np.arange(1 << len(rest))[:, None] >> np.arange(len(rest))) & 1
+        s_all = np.zeros((digits.shape[0], m))
+        s_all[:, rest] = widths[rest] * digits
+        if not free:
+            s_all = s_all[np.abs(s_all.sum(axis=1) - mass) <= _TIE_TOL]
+        else:
+            # 2 V_ff s_f + mu 1 = c_f - 2 V_fr s_r and sum s_f = mass - sum s_r
+            k = len(free)
+            a_mat = np.block(
+                [
+                    [2.0 * values[np.ix_(free, free)], np.ones((k, 1))],
+                    [np.ones((1, k)), np.zeros((1, 1))],
+                ]
+            )
+            rhs = np.vstack(
+                (
+                    cvec[free][:, None] - 2.0 * (values[free, :] @ s_all.T),
+                    mass - s_all.sum(axis=1)[None, :],
+                )
+            )
+            sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
+            ok = np.max(np.abs(a_mat @ sol - rhs), axis=0) <= 1e-8 * (
+                1.0 + np.max(np.abs(rhs), axis=0)
+            )
+            sol = sol[:k]
+            ok &= np.all(sol >= -1e-12, axis=0)
+            ok &= np.all(sol <= widths[free][:, None] + 1e-12, axis=0)
+            if not np.any(ok):
+                continue
+            s_all = s_all[ok]
+            s_all[:, free] = np.clip(sol[:, ok].T, 0.0, widths[free])
+        if s_all.shape[0]:
+            yield s_all, s_all @ cvec - np.einsum("bi,ij,bj->b", s_all, values, s_all)
+
+
 def step_limit_minimum(w, m: int) -> StepMinimum:
     """Exact minimum of the spin energy over balanced fields on the m-cell grid.
 
@@ -857,16 +904,16 @@ def step_limit_minimum(w, m: int) -> StepMinimum:
     being the block's share of the cells: 8 sum_kl w_kl A_k (lambda_l - A_l)
     over 0 <= A_k <= lambda_k, sum A_k = 1/2.  Its minimum is the least value
     at the stationary points of the 3^k faces of that set, which
-    `graphons._face_points` enumerates.  The field puts every cell of block k
-    at plus weight A_k / lambda_k for the first best A, and the value is the
+    `_face_points` enumerates.  The field puts every cell of block k at plus
+    weight A_k / lambda_k for the first best A, and the value is the
     `limit_cut_energy` of that field.  Blocks are capped at
-    CUT_NORM_FORMS_MAX_BLOCKS.
+    STEP_MINIMUM_MAX_BLOCKS.
     """
     if not w.is_step_on(m):
         raise ParameterError("the exact grid minimum needs a step kernel on the grid")
-    if w.block_count > CUT_NORM_FORMS_MAX_BLOCKS:
+    if w.block_count > STEP_MINIMUM_MAX_BLOCKS:
         raise CapacityError(
-            f"exact grid minimum capped at {CUT_NORM_FORMS_MAX_BLOCKS} blocks, got {w.block_count}"
+            f"exact grid minimum capped at {STEP_MINIMUM_MAX_BLOCKS} blocks, got {w.block_count}"
         )
     idx = w.block_index((np.arange(m) + 0.5) / m)
     widths = np.bincount(idx, minlength=w.block_count) / m
@@ -875,61 +922,3 @@ def step_limit_minimum(w, m: int) -> StepMinimum:
     plus = best[idx] / widths[idx]  # idx names only blocks that hold a cell: no width is 0
     theta = ThetaField(np.column_stack((plus, 1.0 - plus)))
     return StepMinimum(limit_cut_energy(w, theta, LabelModel.spin()), theta)
-
-
-# ---------------------------------------------------------------------------
-# plateau sharpening on the half-graph kernel
-
-
-@dataclass(frozen=True)
-class PlateauResult:
-    field: ThetaField
-    changed: bool
-
-
-def sharpen_plateau(theta: ThetaField) -> PlateauResult:
-    """Replace half-valued plateaus of a half-graph field by better spin data.
-
-    A plateau is the set of cells whose plus weight (column 0) is within 1e-9
-    of one half; it must consist of matching runs R in the second half and
-    R - 1/2 in the first half.  Each run is split at the 2/3 point (refining
-    the grid threefold when the run length is not divisible by 3); of the two
-    mirrored spin fillings, the one with the strictly smaller half-graph
-    energy is kept.  Fields without a plateau are returned unchanged, flagged.
-    """
-    x = _plus_weights(theta, "sharpen_plateau")
-    m = theta.m
-    if m % 2 != 0:
-        raise ParameterError("half-graph fields need an even cell count")
-    mask = np.abs(x - 0.5) <= _PLATEAU_TOL
-    if not np.any(mask):
-        return PlateauResult(theta, False)
-    half = m // 2
-    if not np.array_equal(mask[:half], mask[half:]):
-        raise ParameterError(
-            "plateau must occupy mirrored runs in the two halves of the grid"
-        )
-    # (start, end) of each run: where the mask, padded with False, steps up and down
-    runs = np.flatnonzero(np.diff(np.pad(mask[half:], 1).astype(int))).reshape(-1, 2)
-    if np.any((runs[:, 1] - runs[:, 0]) % 3):
-        x = np.repeat(x, 3)
-        m *= 3
-        half *= 3
-        runs *= 3
-    kernel_q = cell_averages(HalfGraphKernel(), m)
-    spin = LabelModel.spin()
-    for a, b in runs:
-        cut = (b - a) // 3
-        filled = x.copy()
-        # mirror run: first third -> 0, rest -> 1; run: first two thirds -> 0
-        filled[a : a + cut] = 0.0
-        filled[a + cut : b] = 1.0
-        filled[half + a : half + a + 2 * cut] = 0.0
-        filled[half + a + 2 * cut : half + b] = 1.0
-        flipped = x.copy()
-        both = np.r_[a:b, half + a : half + b]
-        flipped[both] = 1.0 - filled[both]
-        e_filled = limit_cut_energy(kernel_q, np.column_stack((filled, 1.0 - filled)), spin)
-        e_flipped = limit_cut_energy(kernel_q, np.column_stack((flipped, 1.0 - flipped)), spin)
-        x = filled if e_filled <= e_flipped else flipped
-    return PlateauResult(ThetaField(np.column_stack((x, 1.0 - x))), True)

@@ -541,6 +541,32 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["converge", "--family", "halfgraph", "--n", "7", "--grid", "12"]) == 2
 
 
+# a NaN or infinite mass or block fraction fails its range check like any other bad value
+_NON_FINITE = [
+    (["solve-limit", "--graphon", "{kernel}", "--masses", "0.5,nan"], 4,
+     "masses must be a probability vector"),
+    (["solve-limit", "--graphon", "{kernel}", "--masses", "inf,-inf"], 4,
+     "masses must be a probability vector"),
+    (["gen", "--family", "blocks", "--n", "8", "--lambdas", "0.5,nan", "--out", "{out}"], 2,
+     "block fractions"),
+    (["converge", "--family", "blocks", "--n", "8", "--grid", "4", "--lambdas", "0.5,nan",
+      "--out", "{out}"], 2, "block fractions"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message", _NON_FINITE, ids=["masses-nan", "masses-inf", "gen", "converge"]
+)
+def test_non_finite_masses_and_fractions_exit_with_their_code(
+    tmp_path, capsys, argv, code, message
+):
+    kernel, out = tmp_path / "k.json", tmp_path / "out"
+    fileio.write_graphon(kernel, HalfGraphKernel())
+    got, stdout, err = run(capsys, *(a.format(kernel=kernel, out=out) for a in argv))
+    assert got == code and message in err
+    assert not stdout and not out.exists()
+
+
 def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["cutnorm", "--help"]) == 0

@@ -12,7 +12,6 @@ from graphlim.families import (
     checkerboard,
     complete,
     halfgraph,
-    sign_sin_field,
     w_random,
 )
 from graphlim.graphons import (
@@ -181,28 +180,6 @@ def test_w_random_matches_pair_loop(kernel):
     cases = [(n, seed) for n in (1, 2, 3, 16, 61) for seed in (0, 1, 2)] + [(300, 5)]
     for n, seed in cases:
         assert w_random(kernel, n, seed) == _w_random_pair_loop(kernel, n, seed)
-
-
-# ---------------------------------------------------------------------------
-# sign-sine field
-
-
-def test_sign_sin_all_plus_for_n1():
-    assert np.all(sign_sin_field(1, 8) == 1.0)
-
-
-def test_sign_sin_n2_m4():
-    assert sign_sin_field(2, 4).tolist() == [1.0, 1.0, -1.0, -1.0]
-
-
-def test_sign_sin_misaligned_rejected():
-    with pytest.raises(ParameterError):
-        sign_sin_field(3, 8)
-
-
-def test_sign_sin_never_zero():
-    for n in (1, 2, 4, 8):
-        assert np.all(np.abs(sign_sin_field(n, 32)) == 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphlim.errors import InfeasibleError, ParameterError
-from graphlim.families import sign_sin_field
+from graphlim.errors import ParameterError
 from graphlim.fields import (
     LabelModel,
     PartitionSpec,
     ThetaField,
     recovery_sequence,
-    repair_mass,
     theta_from_labels,
-    window_average,
 )
 
 from conftest import philox
@@ -140,7 +137,7 @@ def test_recovery_window_fidelity():
         row = [p / q, 1 - p / q]
         n = m * q * 2 ** int(rng.integers(1, 4))
         rec = recovery_sequence(ThetaField.constant(row, m), n)
-        means = window_average(rec, 1.0 / m)
+        means = rec.weights.reshape(m, -1, 2).mean(axis=1)
         assert np.abs(means - np.asarray(row)).max() <= q / n + 1e-12
 
 
@@ -148,65 +145,20 @@ def test_recovery_mixed_denominators_per_cell():
     th = ThetaField(np.array([[0.5, 0.5], [1 / 3, 2 / 3]]))
     rec = recovery_sequence(th, 12)
     assert (rec.label_indices() + 1).tolist() == [1, 2, 1, 2, 1, 2, 1, 2, 2, 1, 2, 2]
-    means = window_average(rec, 0.5)
+    means = rec.weights.reshape(2, -1, 2).mean(axis=1)
     assert np.abs(means - th.weights).max() <= 1e-12
 
 
 def test_recovery_periodic_windows_exact():
     rec = recovery_sequence(ThetaField(np.array([[0.5, 0.5]])), 16)
-    means = window_average(rec, 0.25)
+    means = rec.weights.reshape(4, -1, 2).mean(axis=1)
     assert np.abs(means - 0.5).max() == 0.0
 
 
-# ---------------------------------------------------------------------------
-# mass repair
-
-
-def test_repair_noop_when_feasible():
-    u = np.array([1.0, -1.0, 1.0, -1.0])
-    th = theta_from_labels(u, spin)
-    out = repair_mass(th, PartitionSpec.bisection())
-    assert np.array_equal(out.weights, th.weights)
-
-
-def test_repair_flips_lowest_surplus_index():
-    u = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-    th = theta_from_labels(u, spin)
-    out = repair_mass(th, PartitionSpec.bisection())
-    changed = np.nonzero(out.labels_of(spin) != u)[0]
-    assert changed.tolist() == [0]
-    assert out.counts().tolist() == [4, 4]
-
-
-def test_repair_all_ones():
-    th = theta_from_labels(np.ones(8), spin)
-    out = repair_mass(th, PartitionSpec.bisection())
-    assert out.labels_of(spin).tolist() == [-1, -1, -1, -1, 1, 1, 1, 1]
-
-
-def test_repair_minimality_and_idempotence():
-    for seed in range(10):
-        rng = philox(200 + seed)
-        model = LabelModel.unit_cut((1.0, 2.0, 3.0))
-        m = int(rng.integers(6, 20))
-        u = np.asarray([model.labels[int(rng.integers(3))] for _ in range(m)])
-        th = theta_from_labels(u, model)
-        sizes = PartitionSpec((1 / 3, 1 / 3, 1 / 3)).sizes_for(m)
-        spec = PartitionSpec((1 / 3, 1 / 3, 1 / 3), sizes=sizes)
-        out = repair_mass(th, spec)
-        assert out.counts().tolist() == list(sizes)
-        expected_changes = sum(
-            max(0, c - s) for c, s in zip(th.counts(), sizes)
-        )
-        assert int((out.label_indices() != th.label_indices()).sum()) == expected_changes
-        again = repair_mass(out, spec)
-        assert np.array_equal(again.weights, out.weights)
-
-
-def test_repair_infeasible_sizes():
-    th = theta_from_labels(np.ones(4), spin)
-    with pytest.raises(InfeasibleError):
-        repair_mass(th, PartitionSpec((0.5, 0.5), sizes=(3, 3)))
+@pytest.mark.parametrize("masses", [(0.5, np.nan), (np.nan, np.nan), (np.inf, 0.5)])
+def test_partition_spec_rejects_non_finite_masses(masses):
+    with pytest.raises(ParameterError, match="masses"):
+        PartitionSpec(masses)
 
 
 def test_sizes_for_largest_remainder():
@@ -215,36 +167,3 @@ def test_sizes_for_largest_remainder():
     assert spec.sizes_for(10) == (5, 3, 2)
     assert spec.sizes_for(20) == (9, 7, 4)
     assert sum(spec.sizes_for(7)) == 7
-
-
-# ---------------------------------------------------------------------------
-# window averages
-
-
-def test_window_average_constant_field():
-    th = ThetaField.constant([0.3, 0.7], 12)
-    means = window_average(th, 0.25)
-    assert np.allclose(means, [0.3, 0.7], atol=0)
-
-
-def test_window_average_rejects_misaligned_width():
-    th = ThetaField.constant([0.5, 0.5], 10)
-    with pytest.raises(ParameterError):
-        window_average(th, 0.15)
-    with pytest.raises(ParameterError):
-        window_average(th, 0.3)
-
-
-def test_sign_sin_window_bound():
-    for n in (8, 16, 64):
-        u = sign_sin_field(n, 64)
-        means = window_average(u, 0.25)
-        assert np.abs(means).max() <= 2 / (0.25 * n) + 1e-12
-
-
-def test_checkerboard_indicator_weakly_converges_to_half():
-    # indicator of the alternating stripe set: window means approach 1/2
-    for n in (4, 8, 16):
-        theta = np.tile([1.0, 0.0], n)
-        means = window_average(theta, 0.5)
-        assert np.abs(means - 0.5).max() <= 1.0 / n + 1e-12

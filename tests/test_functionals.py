@@ -3,19 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphlim.errors import InfeasibleError, ParameterError
+from graphlim.errors import ParameterError
 from graphlim.families import complete, halfgraph
 from graphlim.fields import LabelModel, ThetaField, theta_from_labels
 from graphlim.functionals import (
-    block_reduce,
     cell_averages,
     discrete_cut_energy,
-    halfgraph_profile_energy,
-    halfgraph_profiles,
     kkt_residual,
     limit_cut_energy,
     limit_energy_gradient,
-    spin_energy_gradient,
 )
 from graphlim.graphons import (
     BlockDiagonalKernel,
@@ -185,6 +181,12 @@ def test_limit_energy_halfgraph_optimal_partition():
     assert val == pytest.approx(1 / 3, abs=1e-9)
 
 
+def test_profile_energy_half_constant():
+    # the half-constant field pays 8 * 1/4 * (integral of W) = 2 * 1/4
+    th = ThetaField(np.full((12, 2), 0.5))
+    assert limit_cut_energy(HalfGraphKernel(), th, spin) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_halfgraph_partition_against_fine_grid_quadrature():
     # independent midpoint quadrature of the region integral
     n = 1200
@@ -267,16 +269,22 @@ def test_gradient_matches_central_differences():
             assert abs(fd - grad[a, k]) / max(1.0, abs(grad[a, k])) <= 1e-7
 
 
+def _spin_gradient(w, theta):
+    # moving the plus weight moves the minus weight against it
+    grad = limit_energy_gradient(w, theta, spin)
+    return grad[..., 0] - grad[..., 1]
+
+
 def test_spin_gradient_zero_at_half():
     th = ThetaField(np.full((10, 2), 0.5))
-    g = spin_energy_gradient(HalfGraphKernel(), th)
+    g = _spin_gradient(HalfGraphKernel(), th)
     assert np.abs(g).max() == 0.0
 
 
 def test_spin_gradient_at_zero_field_tracks_cell_degree():
     m = 12
     th = ThetaField(np.column_stack((np.zeros(m), np.ones(m))))
-    g = spin_energy_gradient(HalfGraphKernel(), th)
+    g = _spin_gradient(HalfGraphKernel(), th)
     kernel = cell_averages(HalfGraphKernel(), m)
     degrees = kernel.values.mean(axis=1)
     assert np.allclose(g, 8.0 * degrees / m, atol=1e-15)
@@ -309,7 +317,7 @@ def test_spin_gradient_random_finite_difference():
         w = random_step_graphon(2300 + seed, 1)
         kernel = ConstantKernel(float(w.values[0, 0]))
         th = np.column_stack((x, 1 - x))
-        g = spin_energy_gradient(kernel, th)
+        g = _spin_gradient(kernel, th)
         a = int(rng.integers(m))
         xp = x.copy()
         xp[a] += h
@@ -350,14 +358,7 @@ def test_kkt_interior_nonconstant_has_positive_residual():
 
 
 @pytest.mark.parametrize(
-    "diagnostic",
-    [
-        lambda th: spin_energy_gradient(HalfGraphKernel(), th),
-        lambda th: kkt_residual(HalfGraphKernel(), th),
-        lambda th: block_reduce((0.5, 0.5), th),
-        halfgraph_profiles,
-    ],
-    ids=["gradient", "kkt", "block_reduce", "profiles"],
+    "diagnostic", [lambda th: kkt_residual(HalfGraphKernel(), th)], ids=["kkt"]
 )
 def test_spin_diagnostics_reject_three_label_fields(diagnostic):
     th = ThetaField(np.tile([0.5, 0.25, 0.25], (12, 1)))
@@ -369,13 +370,51 @@ def test_spin_diagnostics_reject_three_label_fields(diagnostic):
 # block reduction
 
 
+def _block_masses(lams, x):
+    # plus mass of each block of a field on a grid that refines the blocks
+    m = x.size
+    starts = np.round(np.concatenate(([0.0], np.cumsum(lams)[:-1])) * m).astype(int)
+    return np.add.reduceat(x, starts) / m
+
+
 def test_block_reduce_indicator_of_first_block():
-    lams = (0.5, 0.5)
-    x = np.concatenate((np.ones(6), np.zeros(6)))
+    lams = (0.45, 0.35, 0.2)
+    # plus on whole blocks only: block 2 alone, then blocks 1 and 3
+    for plus in (range(9, 16), list(range(9)) + list(range(16, 20))):
+        x = np.zeros(20)
+        x[list(plus)] = 1.0
+        th = ThetaField(np.column_stack((x, 1 - x)))
+        a = _block_masses(lams, x)
+        assert np.allclose(a * (np.array(lams) - a), 0.0, atol=1e-12)
+        val = limit_cut_energy(BlockDiagonalKernel(lams), th, spin)
+        assert val == pytest.approx(0.0, abs=1e-12)
+
+
+def test_block_reduce_matches_limit_energy():
+    # on a block-diagonal kernel the spin energy is 8 sum_i a_i (lambda_i - a_i)
+    lams = (0.45, 0.35, 0.2)
+    m = 20
+    for seed in range(5):
+        rng = philox(2000 + seed)
+        x = np.round(rng.random(m))
+        th = ThetaField(np.column_stack((x, 1 - x)))
+        a = _block_masses(lams, x)
+        reduced = 8.0 * float((a * (np.array(lams) - a)).sum())
+        direct = limit_cut_energy(BlockDiagonalKernel(lams), th, spin)
+        assert reduced == pytest.approx(direct, abs=1e-12)
+
+
+def test_block_reduce_example_value():
+    lams = (0.45, 0.35, 0.2)
+    m = 20
+    # A = (0.45, 0, 0.05): all of block 1 (cells 0..8), one cell of block 3
+    x = np.zeros(m)
+    x[:9] = 1.0
+    x[16] = 1.0
     th = ThetaField(np.column_stack((x, 1 - x)))
-    red = block_reduce(lams, th)
-    assert np.allclose(red.masses, [0.5, 0.0], atol=1e-12)
-    assert red.energy == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(_block_masses(lams, x), [0.45, 0.0, 0.05], atol=1e-12)
+    val = limit_cut_energy(BlockDiagonalKernel(lams), th, spin)
+    assert val == pytest.approx(0.06, abs=1e-12)
 
 
 def test_block_reduce_dumbbell_vertex_identities():
@@ -388,37 +427,6 @@ def test_block_reduce_dumbbell_vertex_identities():
     g_a = g_of(0.5 - lams[2], 0.0)
     g_d = g_of(0.5 - lams[1], lams[1])
     assert g_a == pytest.approx(g_d, abs=1e-12)
-
-
-def test_block_reduce_matches_limit_energy():
-    lams = (0.45, 0.35, 0.2)
-    m = 20
-    for seed in range(5):
-        rng = philox(2000 + seed)
-        x = np.round(rng.random(m))
-        th = ThetaField(np.column_stack((x, 1 - x)))
-        red = block_reduce(lams, th)
-        direct = limit_cut_energy(BlockDiagonalKernel(lams), th, spin)
-        assert red.energy == pytest.approx(direct, abs=1e-12)
-
-
-def test_block_reduce_example_value():
-    lams = (0.45, 0.35, 0.2)
-    m = 20
-    # A = (0.45, 0, 0.05): all of block 1 (cells 0..8), one cell of block 3
-    x = np.zeros(m)
-    x[:9] = 1.0
-    x[16] = 1.0
-    th = ThetaField(np.column_stack((x, 1 - x)))
-    red = block_reduce(lams, th)
-    assert np.allclose(red.masses, [0.45, 0.0, 0.05], atol=1e-12)
-    assert red.energy == pytest.approx(0.06, abs=1e-12)
-
-
-def test_block_reduce_misalignment_error():
-    th = ThetaField.constant([0.5, 0.5], 7)
-    with pytest.raises(ParameterError):
-        block_reduce((0.45, 0.35, 0.2), th)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +464,6 @@ def test_grid_rule_shared_by_cell_averages_kernels_and_block_reduce(case):
     on_grid = StepKernel(boundaries, values).is_step_on(m)
     assert step.is_step_on(m) == on_grid
     assert _accepts(lambda: cell_averages(step, m)) == on_grid
-    th = ThetaField.constant([0.5, 0.5], m)
-    assert _accepts(lambda: block_reduce(widths, th)) == on_grid
     # away from the rule's own edge the answer is known: |delta| m <= 1e-9
     scaled = [abs(d) * m for d in offsets]
     if all(s < 0.5e-9 for s in scaled):
@@ -472,51 +478,3 @@ def test_analytic_kernels_sit_on_no_grid():
     assert ConstantKernel(0.5).is_step_on(7)
     assert BlockDiagonalKernel((0.45, 0.35, 0.2)).is_step_on(20)
     assert not BlockDiagonalKernel((0.45, 0.35, 0.2)).is_step_on(10)
-
-
-# ---------------------------------------------------------------------------
-# profile reformulation
-
-
-def test_profile_integral_zero_field():
-    from graphlim.functionals import profile_energy_integral
-
-    zeros = np.zeros(7)
-    assert profile_energy_integral(zeros, zeros) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_profile_energy_half_constant():
-    th = ThetaField(np.full((12, 2), 0.5))
-    w1, w2 = halfgraph_profiles(th)
-    assert halfgraph_profile_energy(w1, w2) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_profile_energy_optimal_partition():
-    th = optimal_halfgraph_field()
-    w1, w2 = halfgraph_profiles(th)
-    assert halfgraph_profile_energy(w1, w2) == pytest.approx(1 / 3, abs=1e-9)
-
-
-def test_profile_energy_matches_limit_energy_on_random_fields():
-    for seed in range(20):
-        rng = philox(2100 + seed)
-        m = 24
-        x = project_box_mean(rng.random(m), 0.5)
-        th = ThetaField(np.column_stack((x, 1 - x)))
-        direct = limit_cut_energy(HalfGraphKernel(), th, spin)
-        via_profiles = halfgraph_profile_energy(*halfgraph_profiles(th))
-        assert direct == pytest.approx(via_profiles, abs=1e-9)
-
-
-def test_profile_energy_boundary_violations():
-    k = 4
-    good = np.linspace(0, 0.25, k + 1)
-    with pytest.raises(InfeasibleError):
-        halfgraph_profile_energy(good + 0.1, good)  # does not start at 0
-    short = np.linspace(0, 0.1, k + 1)
-    with pytest.raises(InfeasibleError):
-        halfgraph_profile_energy(good, short)  # endpoints sum to 0.35, not 1/2
-    steep = np.linspace(0, 0.6, k + 1)
-    fill = np.linspace(0, -0.1, k + 1)
-    with pytest.raises(InfeasibleError):
-        halfgraph_profile_energy(steep, fill)  # slopes leave [0,1]

@@ -17,10 +17,7 @@ from graphlim.graphons import (
     StepGraphon,
     _exact_cut_norm,
     _pattern_chunk,
-    cut_distance_blocks,
     cut_norm,
-    cut_norm_forms,
-    degree,
     hom_density_graph,
     hom_density_graphon,
     motif_edge,
@@ -41,6 +38,15 @@ def test_step_graphon_rejects_bad_widths():
         StepGraphon([0.5, 0.6], np.zeros((2, 2)))
     with pytest.raises(ParameterError):
         StepGraphon([0.5, -0.5, 1.0], np.zeros((3, 3)))
+    for widths in ([0.5, np.nan], [np.inf, 0.5]):
+        with pytest.raises(ParameterError):
+            StepGraphon(widths, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("lams", [(0.5, np.nan), (np.nan,), (np.inf, 0.5), (0.5, 0.5, -np.inf)])
+def test_block_kernel_rejects_non_finite_fractions(lams):
+    with pytest.raises(ParameterError, match="block fractions"):
+        BlockDiagonalKernel(lams)
 
 
 def test_step_graphon_rejects_asymmetric_values():
@@ -126,21 +132,16 @@ def test_from_graph_path():
 
 
 def test_degree_constant_full():
-    assert degree(ConstantKernel(1.0), 0.7) == 1.0
+    assert ConstantKernel(1.0).slice_integral(0.7, 0.0, 1.0) == 1.0
 
 
 def test_degree_halfgraph_quarter():
-    assert degree(HalfGraphKernel(), 0.25) == pytest.approx(0.25, abs=1e-12)
+    assert HalfGraphKernel().slice_integral(0.25, 0.0, 1.0) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_degree_k2_step():
     w = step_from_graph(complete(2).graph)
-    assert degree(w, 0.25) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_degree_rejects_outside_unit_interval():
-    with pytest.raises(ParameterError):
-        degree(ConstantKernel(1.0), 1.5)
+    assert w.slice_integral(0.25, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 @given(st.integers(0, 10**6), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -283,8 +284,9 @@ def test_value_at_internal_boundary_takes_left_block(choice, seed):
 
 def test_slice_integral_consistent_with_degree():
     w = HalfGraphKernel()
-    assert degree(w, 0.8) == pytest.approx(0.3, abs=1e-12)
-    assert degree(BipartiteSplitKernel(0.3), 0.1) == pytest.approx(0.7, abs=1e-12)
+    assert w.slice_integral(0.8, 0.0, 1.0) == pytest.approx(0.3, abs=1e-12)
+    bip = BipartiteSplitKernel(0.3)
+    assert bip.slice_integral(0.1, 0.0, 1.0) == pytest.approx(0.7, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -526,94 +528,16 @@ def test_complete_graph_convergence_is_exactly_one_over_n():
         assert cut_norm(diff).value == 1.0 / n
 
 
-# ---------------------------------------------------------------------------
-# the four definitional forms
-
-
 def test_forms_zero_graphon():
-    f = cut_norm_forms(StepGraphon([0.4, 0.6], np.zeros((2, 2))))
-    assert f.two_set == f.complement == f.disjoint == f.functional == 0.0
+    res = cut_norm(StepGraphon([0.4, 0.6], np.zeros((2, 2))))
+    assert res.value == 0.0
+    assert res.exact
 
 
 def test_forms_constant_one():
-    f = cut_norm_forms(StepGraphon([1.0], [[1.0]]))
-    assert f.two_set == pytest.approx(1.0, abs=1e-12)
-    assert f.functional == pytest.approx(1.0, abs=1e-12)
-    assert f.complement == pytest.approx(0.25, abs=1e-12)
-    assert f.disjoint == pytest.approx(0.25, abs=1e-12)
-
-
-def test_forms_random_three_block_seed7():
-    w = random_step_graphon(7, 3)
-    f = cut_norm_forms(w)
-    assert f.two_set == pytest.approx(f.functional, abs=1e-12)
-    assert f.complement == pytest.approx(f.disjoint, abs=1e-12)
-
-
-def test_forms_pair_equalities_on_w0_instances():
-    for seed in range(20):
-        w = random_step_graphon(4000 + seed, 1 + seed % 6)
-        f = cut_norm_forms(w)
-        assert f.two_set == pytest.approx(f.functional, abs=1e-12)
-        assert f.complement == pytest.approx(f.disjoint, abs=1e-12)
-
-
-def test_two_set_equals_functional_even_for_signed_kernels():
-    for seed in range(10):
-        w = random_step_graphon(4500 + seed, 1 + seed % 5, signed=True)
-        f = cut_norm_forms(w)
-        assert f.two_set == pytest.approx(f.functional, abs=1e-12)
-
-
-def test_forms_capacity():
-    with pytest.raises(CapacityError):
-        cut_norm_forms(StepGraphon(np.full(11, 1 / 11), np.zeros((11, 11))))
-
-
-# ---------------------------------------------------------------------------
-# cut distance over block permutations
-
-
-def test_cut_distance_identity_zero():
-    w = random_step_graphon(5, 4)
-    widths = np.full(4, 0.25)
-    w = StepGraphon(widths, w.values)
-    assert cut_distance_blocks(w, w) == 0.0
-
-
-def test_cut_distance_swap_example():
-    a = StepGraphon([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]])
-    b = StepGraphon([0.5, 0.5], [[0.0, 0.0], [0.0, 1.0]])
-    assert cut_distance_blocks(a, b) == 0.0
-
-
-def test_cut_distance_k2_vs_zero():
-    k2 = step_from_graph(complete(2).graph)
-    zero = StepGraphon([0.5, 0.5], np.zeros((2, 2)))
-    assert cut_distance_blocks(k2, zero) == 0.5
-
-
-def test_cut_distance_upper_bounded_by_cut_norm():
-    for seed in range(6):
-        rng = philox(7000 + seed)
-        m = int(rng.integers(2, 5))
-        widths = np.full(m, 1.0 / m)
-        u = StepGraphon(widths, random_step_graphon(seed, m).values)
-        w = StepGraphon(widths, random_step_graphon(seed + 50, m).values)
-        assert cut_distance_blocks(u, w) <= cut_norm(u - w).value + 1e-12
-
-
-def test_cut_distance_errors():
-    a = StepGraphon([0.5, 0.5], np.zeros((2, 2)))
-    b = StepGraphon(np.full(3, 1 / 3), np.zeros((3, 3)))
-    with pytest.raises(ParameterError):
-        cut_distance_blocks(a, b)
-    unequal = StepGraphon([0.3, 0.7], np.zeros((2, 2)))
-    with pytest.raises(ParameterError):
-        cut_distance_blocks(unequal, unequal)
-    big = StepGraphon(np.full(9, 1 / 9), np.zeros((9, 9)))
-    with pytest.raises(CapacityError):
-        cut_distance_blocks(big, big)
+    res = cut_norm(StepGraphon([1.0], [[1.0]]))
+    assert res.value == pytest.approx(1.0, abs=1e-12)
+    assert res.s.tolist() == res.t.tolist() == [1.0]
 
 
 # ---------------------------------------------------------------------------

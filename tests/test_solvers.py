@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 from graphlim import functionals, solvers
 from graphlim.errors import CapacityError, InfeasibleError, ParameterError
 from graphlim.families import bipartite, block_family, complete, halfgraph
-from graphlim.fields import LabelModel, PartitionSpec, ThetaField, theta_from_labels
+from graphlim.fields import LabelModel, PartitionSpec
 from graphlim.functionals import (
     cell_averages,
     discrete_cut_energy,
@@ -35,7 +35,6 @@ from graphlim.solvers import (
     project_box_mean,
     project_polytope,
     project_rows_simplex,
-    sharpen_plateau,
     step_limit_minimum,
     swap_descent,
     transport_lmo,
@@ -1099,8 +1098,9 @@ def test_frank_wolfe_halfgraph_reaches_third():
 
 
 def test_minimize_rejects_bad_masses_and_method():
-    with pytest.raises(InfeasibleError):
-        minimize_limit_energy(ConstantKernel(1.0), spin, (0.7, 0.7), 8)
+    for masses in ((0.7, 0.7), (0.5, np.nan), (np.inf, -np.inf)):
+        with pytest.raises(InfeasibleError, match="probability vector"):
+            minimize_limit_energy(ConstantKernel(1.0), spin, masses, 8)
     with pytest.raises(ParameterError):
         minimize_limit_energy(ConstantKernel(1.0), spin, (0.5, 0.5), 8, method="anneal")
     with pytest.raises(ParameterError):
@@ -1149,6 +1149,14 @@ def test_vertex_minimum_thirds():
 def test_vertex_minimum_infeasible_mass():
     with pytest.raises(InfeasibleError):
         block_vertex_minimum((0.5, 0.5), 1.2)
+    with pytest.raises(InfeasibleError):
+        block_vertex_minimum((0.5, 0.5), np.nan)
+
+
+@pytest.mark.parametrize("lams", [(0.5, np.nan), (0.5, np.inf), (0.5, 0.0)])
+def test_vertex_minimum_rejects_non_finite_or_empty_blocks(lams):
+    with pytest.raises(ParameterError, match="block fractions"):
+        block_vertex_minimum(lams, 0.5)
 
 
 def test_vertex_enumeration_matches_subset_sum_oracle():
@@ -1268,90 +1276,26 @@ def test_step_limit_minimum_on_the_complete_kernel_is_two(m):
     assert step_limit_minimum(ConstantKernel(1.0), m).value == 2.0
 
 
+@pytest.mark.parametrize(
+    "lams, plus, value",
+    [
+        ((0.45, 0.35, 0.2), [1.0] * 9 + [0.0] * 7 + [0.2499999999999998] * 4, 0.05999999999999995),
+        ((0.3, 0.3, 0.4), [0.6666666666666666] * 6 + [1.0] * 6 + [0.0] * 8, 0.16),
+    ],
+)
+def test_step_limit_minimum_returns_the_first_face_point_of_least_value(lams, plus, value):
+    # pins the field, not only its value: the face order picks one minimizer
+    res = step_limit_minimum(BlockDiagonalKernel(lams), 20)
+    assert res.theta.weights[:, 0].tolist() == plus
+    assert res.value == value
+
+
 def test_step_limit_minimum_needs_a_step_kernel_on_the_grid_within_the_cap():
     for kernel in (BipartiteSplitKernel(0.3), HalfGraphKernel()):
         with pytest.raises(ParameterError):
             step_limit_minimum(kernel, 16)
     with pytest.raises(CapacityError):
         step_limit_minimum(CheckerboardKernel(6), 12)
-
-
-# ---------------------------------------------------------------------------
-# plateau sharpening
-
-
-def _plateau_field():
-    # plus on [0,1/6) and [1/2,2/3); half-valued on [1/6,1/3) and [2/3,5/6)
-    x = np.zeros(12)
-    x[0:2] = 1.0
-    x[6:8] = 1.0
-    x[2:4] = 0.5
-    x[8:10] = 0.5
-    return ThetaField(np.column_stack((x, 1 - x)))
-
-
-def test_sharpen_noop_without_plateau():
-    th = theta_from_labels(np.array([1.0, -1.0, 1.0, -1.0]), spin)
-    res = sharpen_plateau(th)
-    assert not res.changed
-    assert np.array_equal(res.field.weights, th.weights)
-
-
-def test_sharpen_strictly_improves_half_plateau():
-    th = _plateau_field()
-    before = limit_cut_energy(HalfGraphKernel(), th, spin)
-    res = sharpen_plateau(th)
-    after = limit_cut_energy(HalfGraphKernel(), res.field, spin)
-    assert res.changed
-    assert after < before - 1e-12
-    assert res.field.is_spin_valued(tol=1e-12)
-
-
-def test_sharpen_preserves_mass():
-    th = _plateau_field()
-    res = sharpen_plateau(th)
-    assert np.abs(res.field.mass() - th.mass()).max() <= 1e-12
-
-
-def test_sharpen_without_grid_refinement():
-    # a three-cell run splits at 2/3 on the original grid
-    x = np.zeros(12)
-    x[9:12] = 1.0
-    x[6:9] = 0.5
-    x[0:3] = 0.5
-    th = ThetaField(np.column_stack((x, 1 - x)))
-    before = limit_cut_energy(HalfGraphKernel(), th, spin)
-    res = sharpen_plateau(th)
-    after = limit_cut_energy(HalfGraphKernel(), res.field, spin)
-    assert res.field.m == 12
-    assert after < before - 1e-12
-    assert np.abs(res.field.mass() - th.mass()).max() <= 1e-12
-
-
-def test_sharpen_rejects_unmirrored_plateau():
-    x = np.zeros(12)
-    x[2:4] = 0.5  # only in the first half
-    x[6:] = 1.0
-    th = ThetaField(np.column_stack((x, 1 - x)))
-    with pytest.raises(ParameterError):
-        sharpen_plateau(th)
-
-
-def test_sharpen_rejects_three_label_field():
-    # read as spins, its first column would be an all-plateau field
-    th = ThetaField(np.tile([0.5, 0.25, 0.25], (12, 1)))
-    with pytest.raises(ParameterError, match="two-label"):
-        sharpen_plateau(th)
-
-
-def test_optimum_is_spin_after_one_sharpen_pass():
-    for m in (24, 48):
-        rep = minimize_limit_energy(
-            HalfGraphKernel(), spin, (0.5, 0.5), m, seed=0, restarts=20
-        )
-        res = sharpen_plateau(rep.theta)
-        w = res.field.weights
-        assert np.minimum(np.abs(w), np.abs(w - 1)).max() <= 1e-3
 
 
 # ---------------------------------------------------------------------------
