@@ -17,7 +17,6 @@ from .families import (
 )
 from .fields import (
     LabelModel,
-    PartitionSpec,
     ThetaField,
     recovery_sequence,
     theta_from_labels,

@@ -17,7 +17,7 @@ import numpy as np
 from . import families, fileio
 from .errors import CapacityError, InfeasibleError, ParameterError
 from .experiments import FAMILY_IDS, ExperimentConfig, family_instance, rows_to_csv, run_converge
-from .fields import LabelModel, PartitionSpec
+from .fields import LabelModel
 from .functionals import kkt_residual
 from .graphons import (
     cut_norm,
@@ -45,8 +45,18 @@ _MOTIFS = {
 }
 
 
+def _seed(text):
+    """The type of every --seed: numpy's generators take non-negative integers only."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 _SHARED_FLAGS = {
-    "seed": dict(type=int, default=0, help="master seed (default 0)"),
+    "seed": dict(type=_seed, default=0, help="master seed (default 0)"),
     "out": dict(help="write data to this path instead of stdout"),
     "format": dict(choices=("csv", "json"), default=None, help="output format"),
 }
@@ -178,12 +188,16 @@ def _cmd_solve_discrete(args):
     graph = fileio.read_graph(args.graph)
     if args.method == "brute":
         return brute_bisection(graph).to_dict()
-    spec = PartitionSpec.bisection()
+    # by default a bisection, with the larger part on the first label (+1) when n is odd
+    sizes = ((graph.n + 1) // 2, graph.n // 2)
     if args.sizes is not None:
         sizes = _parse_list(args.sizes, int)
-        spec = PartitionSpec(tuple(s / graph.n for s in sizes), sizes=sizes)
+        if min(sizes) < 0 or sum(sizes) != graph.n:
+            raise ParameterError(
+                f"--sizes {args.sizes}: expected nonnegative part sizes summing to n={graph.n}"
+            )
     report = local_search_partition(
-        graph, spec, _model_for(len(spec.masses)), seed=args.seed, restarts=args.restarts
+        graph, sizes, _model_for(len(sizes)), seed=args.seed, restarts=args.restarts
     )
     return report.to_dict()
 
@@ -333,9 +347,8 @@ def build_parser():
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--restarts", type=int)
     p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--seed", type=int, default=None)
-    _common(p, "out", "format")
-    p.set_defaults(func=_cmd_converge)
+    _common(p, "seed", "out", "format")
+    p.set_defaults(func=_cmd_converge, seed=None)
 
     return parser
 

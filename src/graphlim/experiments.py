@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass
 
 from .errors import ParameterError
 from .families import bipartite, block_family, complete, halfgraph
-from .fields import LabelModel, PartitionSpec
+from .fields import LabelModel
 from .fileio import format_float, write_text
 from .graphons import EXACT_CUT_NORM_MAX_BLOCKS, cut_norm, step_from_graph
 from .solvers import (
@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise ParameterError(f"config field 'method': {' or '.join(METHODS)}")
         if self.restarts < 1:
             raise ParameterError("config field 'restarts': must be >= 1")
+        if self.seed < 0:
+            raise ParameterError("config field 'seed': must be >= 0")
         if self.family == "blocks" and not self.lambdas:
             raise ParameterError("config field 'lambdas': required for the blocks family")
 
@@ -164,7 +166,7 @@ def _solve_row(config: ExperimentConfig, n: int, j_star: float) -> ConvergenceRo
     else:
         report = local_search_partition(
             inst.graph,
-            PartitionSpec.bisection(),
+            (n // 2, n // 2),
             LabelModel.spin(),
             seed=row_seed,
             restarts=config.restarts,
@@ -200,7 +202,7 @@ def run_converge(config: ExperimentConfig):
         j_star = minimize_limit_energy(
             limit,
             LabelModel.spin(),
-            PartitionSpec.bisection().masses,
+            (0.5, 0.5),
             config.grid,
             method=config.method,
             seed=config.seed,

@@ -61,13 +61,6 @@ def block_family(lambdas, n: int) -> FamilyInstance:
     return FamilyInstance(Graph(n, np.concatenate([*cliques, bridges])), kernel)
 
 
-def block_node_sets(lambdas, n: int):
-    """The node blocks used by block_family, as inclusive 1-based ranges."""
-    kernel = BlockDiagonalKernel(lambdas)
-    bounds = _block_bounds(kernel.lambdas, n)
-    return [tuple(range(bounds[k] + 1, bounds[k + 1] + 1)) for k in range(len(bounds) - 1)]
-
-
 def bipartite(gamma: float, n: int) -> FamilyInstance:
     """Complete bipartite graph with a floor(n*gamma)-node first group."""
     kernel = BipartiteSplitKernel(gamma)

@@ -7,11 +7,11 @@ labeling directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ParameterError
+from .errors import ParameterError
 
 _ROW_TOL = 1e-12
 
@@ -53,16 +53,10 @@ class LabelModel:
     def n_labels(self):
         return len(self.labels)
 
-    def index_of(self, label) -> int:
-        try:
-            return self.labels.index(float(label))
-        except ValueError:
-            raise ParameterError(f"unknown label {label!r}") from None
-
     def indices(self, values):
         """Label index of each entry of values, in one vectorised pass.
 
-        Raises the `index_of` error for the first unknown entry in C order.
+        Raises ParameterError naming the first unknown entry in C order.
         """
         values = np.asarray(values, dtype=float)
         hits = values[..., None] == np.asarray(self.labels)
@@ -94,10 +88,6 @@ class ThetaField:
         if np.any(np.abs(rowsum - 1.0) > _ROW_TOL):
             raise ParameterError("each row must sum to 1")
 
-    @classmethod
-    def constant(cls, row, m):
-        return cls(np.tile(np.asarray(row, dtype=float), (m, 1)))
-
     @property
     def m(self):
         return self.weights.shape[0]
@@ -106,77 +96,13 @@ class ThetaField:
     def n_labels(self):
         return self.weights.shape[1]
 
-    def is_spin_valued(self, tol=0.0):
-        w = self.weights
-        return bool(np.all((np.abs(w) <= tol) | (np.abs(w - 1.0) <= tol)))
-
-    def mass(self):
-        """Per-label mass vector (1/m) sum_i theta_k(i)."""
-        return self.weights.mean(axis=0)
-
-    def label_indices(self):
-        if not self.is_spin_valued(tol=1e-12):
-            raise ParameterError("field is not spin-valued")
-        return np.argmax(self.weights, axis=1)
-
-    def labels_of(self, model: LabelModel):
-        return np.asarray(model.labels)[self.label_indices()]
-
-    def counts(self):
-        idx = self.label_indices()
-        return np.bincount(idx, minlength=self.n_labels)
-
 
 def theta_from_labels(u, model: LabelModel) -> ThetaField:
-    """One-hot field of a cell labeling; inverts exactly via labels_of."""
+    """One-hot field of a cell labeling; `weights.argmax(axis=1)` inverts it."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise ParameterError("labeling must be a nonempty 1-d sequence")
     return ThetaField(np.eye(model.n_labels)[model.indices(u)])
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Target label masses, with deterministic integer sizes per grid size."""
-
-    masses: tuple
-    sizes: tuple = field(default=None)
-
-    def __post_init__(self):
-        masses = tuple(float(v) for v in self.masses)
-        object.__setattr__(self, "masses", masses)
-        # written so that NaN masses fail them too
-        if not all(v >= 0.0 for v in masses):
-            raise ParameterError("masses must be nonnegative")
-        if not abs(sum(masses) - 1.0) <= _ROW_TOL:
-            raise ParameterError("masses must sum to 1")
-        if self.sizes is not None:
-            sizes = tuple(int(v) for v in self.sizes)
-            object.__setattr__(self, "sizes", sizes)
-            if len(sizes) != len(masses) or any(v < 0 for v in sizes):
-                raise InfeasibleError("explicit sizes must be nonnegative, one per label")
-
-    @classmethod
-    def bisection(cls):
-        return cls((0.5, 0.5))
-
-    def sizes_for(self, n: int):
-        """Integer sizes summing to n: floor targets plus largest remainders."""
-        if self.sizes is not None:
-            if sum(self.sizes) != n:
-                raise InfeasibleError(f"sizes {self.sizes} do not sum to n={n}")
-            return self.sizes
-        targets = [n * v for v in self.masses]
-        base = [int(np.floor(t + 1e-9)) for t in targets]
-        leftover = n - sum(base)
-        if leftover < 0:
-            raise InfeasibleError("mass vector is incompatible with n")
-        remainders = sorted(
-            range(len(base)), key=lambda k: (-(targets[k] - base[k]), k)
-        )
-        for k in remainders[:leftover]:
-            base[k] += 1
-        return tuple(base)
 
 
 def recovery_sequence(theta: ThetaField, n: int) -> ThetaField:

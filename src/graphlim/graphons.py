@@ -77,9 +77,6 @@ class Graph:
     def edge_count(self):
         return len(self.edges)
 
-    def edge_list(self):
-        return list(map(tuple, self.edges.tolist()))
-
     def adjacency(self):
         a = np.zeros((self.n, self.n), dtype=bool)
         i, j = (self.edges - 1).T
@@ -168,7 +165,7 @@ class StepGraphon(_Blocks):
 
     ``widths`` are the block widths (strictly positive, summing to 1) and
     ``values`` the symmetric matrix of block values.  Values may be signed;
-    use :meth:`w0` for constructors that enforce the [0,1] range.
+    :meth:`is_w0` tells whether they lie in [0,1].
     """
 
     widths: np.ndarray
@@ -190,19 +187,9 @@ class StepGraphon(_Blocks):
         if not np.array_equal(self.values, self.values.T):
             raise ParameterError("block value matrix must be symmetric")
 
-    @classmethod
-    def w0(cls, widths, values):
-        g = cls(widths, values)
-        if not g.is_w0():
-            raise ParameterError("W0 graphon requires block values in [0,1]")
-        return g
-
     @property
     def boundaries(self):
         return _boundaries_of(self.widths)
-
-    def l1_norm(self):
-        return float(np.abs(self.values) @ self.widths @ self.widths)
 
     def equal_width(self):
         return bool(np.all(np.abs(self.widths - 1.0 / self.block_count) <= _WIDTH_TOL))

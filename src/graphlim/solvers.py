@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InfeasibleError, ParameterError
-from .fields import LabelModel, PartitionSpec, ThetaField
+from .fields import LabelModel, ThetaField
 from .functionals import (
     _grid_energy,
     _grid_gradient,
@@ -215,15 +215,15 @@ def swap_descent(g: Graph, labels, model: LabelModel):
     return np.asarray(model.labels)[idx], swaps
 
 
-def local_search_partition(
-    g: Graph, spec: PartitionSpec, model: LabelModel, seed=0, restarts=8
-) -> SolveReport:
-    """Multi-restart swap descent for fixed-size label partitions."""
+def local_search_partition(g: Graph, sizes, model: LabelModel, seed=0, restarts=8) -> SolveReport:
+    """Multi-restart swap descent for partitions with sizes[k] nodes on label k."""
     if restarts < 1:
         raise ParameterError("need at least one restart")
-    sizes = spec.sizes_for(g.n)
-    if len(sizes) != model.n_labels:
-        raise InfeasibleError("partition spec and model disagree on label count")
+    sizes = tuple(int(v) for v in sizes)
+    if len(sizes) != model.n_labels or min(sizes) < 0 or sum(sizes) != g.n:
+        raise InfeasibleError(
+            f"sizes {sizes} are not {model.n_labels} nonnegative counts summing to n={g.n}"
+        )
     best = None
     for r in range(restarts):
         rng = np.random.Generator(np.random.Philox(seed + r))
@@ -249,18 +249,18 @@ def local_search_partition(
 # feasible-set projections
 
 
-def project_box_mean(y, mean, lo=0.0, hi=1.0):
-    """Euclidean projection onto {x in [lo,hi]^m : mean(x) = mean}.
+def project_box_mean(y, mean):
+    """Euclidean projection onto {x in [0,1]^m : mean(x) = mean}.
 
     Works along the last axis: y is one vector or a stack (..., m) of rows,
     each projected on its own, and a row of a stack comes out exactly as it
     would alone.  The projection is clip(y + tau) for a scalar shift tau per
-    row.  The clipped sum S(tau) = sum_i clip(y_i + tau, lo, hi) is
-    piecewise linear and nondecreasing, with breakpoints lo - y_i and
-    hi - y_i (Held, Wolfe and Crowder 1974; Condat 2016).  After one sort
+    row.  The clipped sum S(tau) = sum_i clip(y_i + tau, 0, 1) is
+    piecewise linear and nondecreasing, with breakpoints 0 - y_i and
+    1 - y_i (Held, Wolfe and Crowder 1974; Condat 2016).  After one sort
     of the breakpoints, S at each of them follows from the slope of S, the
-    number of free coordinates, which grows by one past each lo - y_i and
-    falls by one past each hi - y_i.  The count of breakpoints where S is
+    number of free coordinates, which grows by one past each 0 - y_i and
+    falls by one past each 1 - y_i.  The count of breakpoints where S is
     below the target m * mean brackets the target between two neighbours.
     On that piece the set of free coordinates (strictly inside the box) is
     fixed, and tau is solved from it in closed form, so the mean of the
@@ -268,35 +268,35 @@ def project_box_mean(y, mean, lo=0.0, hi=1.0):
     """
     y = np.asarray(y, dtype=float)
     m = y.shape[-1]
-    if not lo <= mean <= hi:
+    if not 0.0 <= mean <= 1.0:
         raise InfeasibleError("target mean outside the box range")
     target = m * mean
-    breaks = np.concatenate((lo - y, hi - y), axis=-1)
+    breaks = np.concatenate((0.0 - y, 1.0 - y), axis=-1)
     order = np.argsort(breaks, axis=-1)
     taus = np.take_along_axis(breaks, order, axis=-1)
     slope = np.cumsum(np.where(order < m, 1.0, -1.0), axis=-1)
     rise = np.cumsum(slope[..., :-1] * np.diff(taus, axis=-1), axis=-1)
-    # S is m * lo at the first breakpoint and m * lo + rise after it
-    below = (m * lo < target) + (m * lo + rise < target).sum(axis=-1, keepdims=True)
+    # S is 0 at the first breakpoint and rise after it
+    below = (0.0 < target) + (rise < target).sum(axis=-1, keepdims=True)
     # S reaches the target on [taus[k-1], taus[k]]; the clip covers
-    # mean == lo and mean == hi, where the piece next to the end is used
+    # mean == 0 and mean == 1, where the piece next to the end is used
     k = np.clip(below, 1, 2 * m - 1)
     ends = np.take_along_axis(taus, np.concatenate((k - 1, k), axis=-1), axis=-1)
     inner = y + 0.5 * (ends[..., :1] + ends[..., 1:])
-    at_lo = inner <= lo
-    at_hi = inner >= hi
+    at_lo = inner <= 0.0
+    at_hi = inner >= 1.0
     free = ~(at_lo | at_hi)
     n_free = free.sum(axis=-1, keepdims=True)
+    # coordinates clipped to 0 add nothing, those clipped to 1 add one each
     rest = (
         target
-        - lo * at_lo.sum(axis=-1, keepdims=True)
-        - hi * at_hi.sum(axis=-1, keepdims=True)
+        - at_hi.sum(axis=-1, keepdims=True)
         - np.where(free, y, 0.0).sum(axis=-1, keepdims=True)
     )
     # with no free coordinate S is flat on the piece (tied breakpoints) and
     # its end already lands on the target
     tau = np.where(n_free > 0, rest / np.maximum(n_free, 1), ends[..., 1:])
-    return np.clip(y + tau, lo, hi)
+    return np.clip(y + tau, 0.0, 1.0)
 
 
 def project_rows_simplex(y):

@@ -705,6 +705,29 @@ def test_solve_discrete_sizes_need_local_search(tmp_path, capsys):
     assert sorted(json.loads(out)["labels"]).count(1) in (3, 5)
 
 
+@pytest.mark.parametrize("sizes", ["4,4", "20,-4"])
+def test_solve_discrete_sizes_that_do_not_count_the_nodes_exit_2(tmp_path, capsys, sizes):
+    gpath, out = str(tmp_path / "h.json"), tmp_path / "out.json"
+    run(capsys, "gen", "--family", "halfgraph", "--n", "16", "--out", gpath)
+    argv = ["solve-discrete", "--graph", gpath, "--method", "local", "--sizes", sizes]
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and "--sizes" in err and "n=16" in err
+    assert not stdout and not out.exists()
+
+
+def test_solve_discrete_default_bisection_puts_the_larger_part_on_plus_one(tmp_path, capsys):
+    # at odd n the default sizes are ((n + 1) // 2, n // 2), labels +1 and -1
+    gpath = str(tmp_path / "k5.json")
+    run(capsys, "gen", "--family", "complete", "--n", "5", "--out", gpath)
+    argv = ["solve-discrete", "--graph", gpath, "--method", "local", "--restarts", "3"]
+    code, out, _ = run(capsys, *argv, "--seed", "2")
+    assert code == 0
+    assert out == (
+        '{"value": 1.9199999999999999, "method": "local_search", "seed": 2, "restarts": 3, '
+        '"iterations": 0, "residual": null, "labels": [-1, 1, 1, 1, -1]}\n'
+    )
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -822,6 +845,37 @@ _EMPTY = [
     (["gen", "--family", "halfgraph", "--n", "4", "--limit-out", "", "--out", "{out}"],
      "--limit-out"),
 ]
+
+
+# a negative seed exits 2 naming it on every route, including those that draw
+# no random number, such as the bipartite converge whose J* is exact
+_NEGATIVE_SEED = {
+    "converge-bipartite": ["converge", "--family", "bipartite", "--n", "8", "--grid", "16"],
+    "converge-halfgraph": _CONVERGE_HALF,
+    "solve-limit": ["solve-limit", "--graphon", "{kernel}", "--grid", "4", "--restarts", "1"],
+    "solve-discrete": ["solve-discrete", "--graph", "{graph}", "--method", "local"],
+    "cutnorm": ["cutnorm", "--a", "{step}", "--mode", "heuristic"],
+    "gen-wrandom": ["gen", "--family", "wrandom", "--kernel", "{kernel}", "--n", "4"],
+}
+
+
+@pytest.mark.parametrize("source", [*_NEGATIVE_SEED, "config"])
+def test_negative_seed_exits_2_naming_it(tmp_path, capsys, source):
+    files = {k: str(tmp_path / f"{k}.json") for k in ("graph", "kernel", "step", "cfg")}
+    fileio.write_graph(files["graph"], fileio.graph_from_dict({"n": 4, "edges": [[1, 2]]}))
+    fileio.write_graphon(files["kernel"], HalfGraphKernel())
+    fileio.write_graphon(files["step"], StepGraphon([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]]))
+    out = tmp_path / "out.data"
+    if source == "config":
+        config = {"family": "bipartite", "n": [8], "grid": 16, "seed": -5, "out": str(out)}
+        pathlib.Path(files["cfg"]).write_text(json.dumps(config))
+        argv, named = ["converge", "--config", files["cfg"]], "config field 'seed'"
+    else:
+        argv = [a.format(**files) for a in _NEGATIVE_SEED[source]]
+        argv, named = [*argv, "--seed", "-5", "--out", str(out)], "--seed"
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and named in err
+    assert not stdout and not out.exists()
 
 
 @pytest.mark.parametrize("argv, named", _EMPTY, ids=[n for _, n in _EMPTY])

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from graphlim.errors import ParameterError
 from graphlim.experiments import labeled_gap
 from graphlim.families import (
+    _block_bounds,
     bipartite,
     block_family,
-    block_node_sets,
     checkerboard,
     complete,
     halfgraph,
@@ -34,7 +34,7 @@ from conftest import random_step_graphon
 
 def test_complete_counts():
     assert complete(4).graph.edge_count == 6
-    assert complete(2).graph.edge_list() == [(1, 2)]
+    assert complete(2).graph.edges.tolist() == [[1, 2]]
 
 
 @given(st.integers(1, 30))
@@ -45,7 +45,7 @@ def test_complete_edge_count_closed_form(n):
 
 def test_block_family_two_halves_n4():
     g = block_family((0.5, 0.5), 4).graph
-    assert g.edge_list() == [(1, 2), (2, 3), (3, 4)]
+    assert g.edges.tolist() == [[1, 2], [2, 3], [3, 4]]
 
 
 def test_block_family_single_block_is_complete():
@@ -54,8 +54,12 @@ def test_block_family_single_block_is_complete():
 
 
 def test_block_family_floor_bounds():
-    blocks = block_node_sets((0.45, 0.35, 0.2), 10)
-    assert blocks == [tuple(range(1, 5)), tuple(range(5, 9)), tuple(range(9, 11))]
+    bounds = _block_bounds((0.45, 0.35, 0.2), 10)
+    assert bounds == [0, 4, 8, 10]
+    # block k is a clique on the 1-based nodes bounds[k] + 1 .. bounds[k + 1]
+    a = block_family((0.45, 0.35, 0.2), 10).graph.adjacency()
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert a[lo:hi, lo:hi].sum() == (hi - lo) * (hi - lo - 1)
 
 
 def test_block_family_empty_block_rejected():
@@ -66,7 +70,8 @@ def test_block_family_empty_block_rejected():
 def test_block_family_edge_count_closed_form():
     # complete blocks plus one bridge per adjacent pair
     g = block_family((0.45, 0.35, 0.2), 20).graph
-    sizes = [len(b) for b in block_node_sets((0.45, 0.35, 0.2), 20)]
+    bounds = _block_bounds((0.45, 0.35, 0.2), 20)
+    sizes = [b - a for a, b in zip(bounds, bounds[1:])]
     assert sizes == [9, 7, 4]
     expected = sum(s * (s - 1) // 2 for s in sizes) + 2
     assert g.edge_count == expected
@@ -86,7 +91,7 @@ def test_bipartite_degenerate_groups_rejected():
 
 
 def test_halfgraph_counts():
-    assert halfgraph(4).graph.edge_list() == [(1, 3), (1, 4), (2, 4)]
+    assert halfgraph(4).graph.edges.tolist() == [[1, 3], [1, 4], [2, 4]]
     for n in (2, 4, 8, 16):
         k = n // 2
         assert halfgraph(n).graph.edge_count == k * (k + 1) // 2

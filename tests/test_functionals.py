@@ -295,7 +295,7 @@ def test_spin_gradient_at_zero_field_tracks_cell_degree():
         xp[a] += h
         xm = np.zeros(m)
         xm[a] -= h
-        up = ThetaField.constant([0.0, 1.0], m).weights.copy()
+        up = np.tile([0.0, 1.0], (m, 1))
         up[:, 0] = xp
         up[:, 1] = 1 - xp
         um = up.copy()

@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 from graphlim import functionals, solvers
 from graphlim.errors import CapacityError, InfeasibleError, ParameterError
 from graphlim.families import bipartite, block_family, complete, halfgraph
-from graphlim.fields import LabelModel, PartitionSpec
+from graphlim.fields import LabelModel
 from graphlim.functionals import (
     cell_averages,
     discrete_cut_energy,
@@ -173,7 +173,7 @@ def test_swap_descent_preserves_counts_and_never_worsens():
 def _swap_descent_pair_scan(g, labels, model):
     # reference: the pair-by-pair first-improvement scan the gain matrix replaced
     n = g.n
-    idx = np.asarray([model.index_of(v) for v in np.asarray(labels, dtype=float)])
+    idx = model.indices(labels)
     f = model.coupling
     adj = [[] for _ in range(n + 1)]
     for i, j in g.edges:
@@ -237,7 +237,7 @@ def _swap_descent_gain_scan(g, labels, model):
     # reference: the gain-matrix scan that scored di and dj apart and rebuilt
     # the pair masks on every scan, before dj became the transpose of di
     n = g.n
-    idx = np.asarray([model.index_of(v) for v in np.asarray(labels, dtype=float)])
+    idx = model.indices(labels)
     f = model.coupling
     adjacency = g.adjacency().astype(float)
     counts = adjacency @ (idx[:, None] == np.arange(model.n_labels)).astype(float)
@@ -310,9 +310,7 @@ def test_swap_descent_ends_at_local_minimum(case):
 
 def test_local_search_complete_graph_always_optimal():
     for seed in (0, 3):
-        rep = local_search_partition(
-            complete(10).graph, PartitionSpec.bisection(), spin, seed=seed, restarts=2
-        )
+        rep = local_search_partition(complete(10).graph, (5, 5), spin, seed=seed, restarts=2)
         assert rep.value == 2.0
 
 
@@ -324,9 +322,7 @@ def test_local_search_dominates_and_often_matches_brute():
         p = 0.3 + 0.4 * rng.random()
         g = random_graph(12345 + trial, n, p)
         exact = brute_bisection(g).value
-        local = local_search_partition(
-            g, PartitionSpec.bisection(), spin, seed=trial, restarts=8
-        ).value
+        local = local_search_partition(g, (n // 2, n // 2), spin, seed=trial, restarts=8).value
         assert local >= exact - 1e-9
         if abs(local - exact) <= 1e-12:
             wins += 1
@@ -337,33 +333,30 @@ def test_local_search_dominates_and_often_matches_brute():
 @settings(max_examples=100, deadline=None)
 def test_local_search_never_beats_exact_bisection(seed, n):
     g = random_graph(seed, n)
-    local = local_search_partition(g, PartitionSpec.bisection(), spin, seed=seed, restarts=2)
+    local = local_search_partition(g, (n // 2, n // 2), spin, seed=seed, restarts=2)
     assert local.value >= brute_bisection(g).value - 1e-12
 
 
 def test_local_search_multiway_respects_sizes():
     model = LabelModel.unit_cut((1.0, 2.0, 3.0))
     g = random_graph(77, 9)
-    spec = PartitionSpec((1 / 3, 1 / 3, 1 / 3))
-    rep = local_search_partition(g, spec, model, seed=1, restarts=3)
+    rep = local_search_partition(g, (3, 3, 3), model, seed=1, restarts=3)
     counts = {v: list(rep.labels).count(v) for v in model.labels}
     assert counts == {1.0: 3, 2.0: 3, 3.0: 3}
 
 
 def test_local_search_bitwise_deterministic():
     g = random_graph(4242, 14)
-    a = local_search_partition(g, PartitionSpec.bisection(), spin, seed=7, restarts=4)
-    b = local_search_partition(g, PartitionSpec.bisection(), spin, seed=7, restarts=4)
+    a = local_search_partition(g, (7, 7), spin, seed=7, restarts=4)
+    b = local_search_partition(g, (7, 7), spin, seed=7, restarts=4)
     assert a == b
 
 
 def test_local_search_infeasible_spec():
-    with pytest.raises(InfeasibleError):
-        local_search_partition(
-            complete(4).graph,
-            PartitionSpec((0.5, 0.5), sizes=(3, 3)),
-            spin,
-        )
+    # sizes must be one nonnegative count per label, summing to n
+    for sizes in [(3, 3), (5, -1), (4,), (2, 1, 1)]:
+        with pytest.raises(InfeasibleError):
+            local_search_partition(complete(4).graph, sizes, spin)
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +375,21 @@ def test_projection_feasibility_and_idempotence():
         assert np.abs(project_box_mean(x, mass) - x).max() <= 1e-12
 
 
-def _bisection_box_mean(y, mean, lo, hi):
+def _bisection_box_mean(y, mean):
     # reference: 64 halvings of the shift bracket, below double resolution
-    low, high = lo - float(y.max()), hi - float(y.min())
+    low, high = 0.0 - float(y.max()), 1.0 - float(y.min())
     for _ in range(64):
         mid = 0.5 * (low + high)
-        if float(np.clip(y + mid, lo, hi).mean()) < mean:
+        if float(np.clip(y + mid, 0.0, 1.0).mean()) < mean:
             low = mid
         else:
             high = mid
-    return np.clip(y + 0.5 * (low + high), lo, hi)
+    return np.clip(y + 0.5 * (low + high), 0.0, 1.0)
 
 
 @st.composite
 def box_mean_inputs(draw, max_m=40, max_rows=4):
-    """y is one vector (rows = 0) or a stack of rows sharing mean and box."""
+    """y is one vector (rows = 0) or a stack of rows sharing the mean."""
     m = draw(st.integers(1, max_m))
     rows = draw(st.integers(0, max_rows))
     scale = 10.0 ** draw(st.integers(-3, 3))
@@ -405,34 +398,30 @@ def box_mean_inputs(draw, max_m=40, max_rows=4):
     size = m * max(rows, 1)
     y = scale * np.asarray(draw(st.lists(entry, min_size=size, max_size=size)))
     y = y.reshape(rows, m) if rows else y
-    lo = draw(st.floats(-2.0, 1.0))
-    hi = lo + draw(st.floats(0.0, 3.0))
-    where = draw(st.sampled_from(["lo", "hi", "inside"]))
-    mean = {"lo": lo, "hi": hi}.get(where)
-    if mean is None:
-        mean = min(lo + draw(st.floats(0.0, 1.0)) * (hi - lo), hi)
-    return y, mean, lo, hi
+    # the mean sits on either end of [0, 1] or inside it
+    mean = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return y, mean
 
 
 @given(box_mean_inputs())
 @settings(max_examples=300, deadline=None)
 def test_projection_box_mean_properties(case):
-    y_in, mean, lo, hi = case
-    x_out = project_box_mean(y_in, mean, lo, hi)
+    y_in, mean = case
+    x_out = project_box_mean(y_in, mean)
     assert x_out.shape == y_in.shape
     for y, x in zip(np.atleast_2d(y_in), np.atleast_2d(x_out)):
-        _check_box_mean_row(y, x, mean, lo, hi)
+        _check_box_mean_row(y, x, mean)
 
 
-def _check_box_mean_row(y, x, mean, lo, hi):
+def _check_box_mean_row(y, x, mean):
     scale = max(1.0, float(np.abs(y).max()))
-    assert np.all(x >= lo) and np.all(x <= hi)
+    assert np.all(x >= 0.0) and np.all(x <= 1.0)
     assert abs(x.mean() - mean) <= 1e-12
-    assert np.abs(project_box_mean(x, mean, lo, hi) - x).max() <= 1e-12
+    assert np.abs(project_box_mean(x, mean) - x).max() <= 1e-12
     # KKT: one shift tau on the free coordinates; clipped ones sit past the box
     tol = 1e-12 * scale
-    at_lo = x == lo
-    at_hi = (x == hi) & ~at_lo  # a zero-width box counts every entry at lo
+    at_lo = x == 0.0
+    at_hi = x == 1.0
     free = ~(at_lo | at_hi)
     if free.any():
         shifts = (x - y)[free]
@@ -440,12 +429,12 @@ def _check_box_mean_row(y, x, mean, lo, hi):
         assert np.abs(shifts - tau_lo).max() <= tol
     else:
         # any tau in [tau_lo, tau_hi] certifies the clipped coordinates
-        tau_lo = hi - float(y[at_hi].min(initial=np.inf))
-        tau_hi = lo - float(y[at_lo].max(initial=-np.inf))
+        tau_lo = 1.0 - float(y[at_hi].min(initial=np.inf))
+        tau_hi = 0.0 - float(y[at_lo].max(initial=-np.inf))
         assert tau_lo <= tau_hi + tol
-    assert np.all(y[at_lo] + tau_lo <= lo + tol)
-    assert np.all(y[at_hi] + tau_hi >= hi - tol)
-    reference = _bisection_box_mean(y, mean, lo, hi)
+    assert np.all(y[at_lo] + tau_lo <= 0.0 + tol)
+    assert np.all(y[at_hi] + tau_hi >= 1.0 - tol)
+    reference = _bisection_box_mean(y, mean)
     assert np.abs(x - reference).max() <= 1e-9 * scale
 
 
@@ -453,11 +442,11 @@ def _check_box_mean_row(y, x, mean, lo, hi):
 @settings(max_examples=150, deadline=None)
 def test_projection_box_mean_rows_match_single_calls(case):
     # a stacked call is the one-row call applied to each row, bit for bit
-    y, mean, lo, hi = case
+    y, mean = case
     rows = np.atleast_2d(y)
-    stacked = project_box_mean(rows, mean, lo, hi)
+    stacked = project_box_mean(rows, mean)
     for row, out in zip(rows, stacked):
-        assert project_box_mean(row, mean, lo, hi).tobytes() == out.tobytes()
+        assert project_box_mean(row, mean).tobytes() == out.tobytes()
 
 
 def test_projection_polytope_feasibility():
