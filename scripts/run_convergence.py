@@ -9,6 +9,7 @@ import argparse
 import pathlib
 import sys
 
+from graphlim.cli import _seed
 from graphlim.experiments import ExperimentConfig, run_converge
 
 EXPERIMENTS = {
@@ -22,7 +23,7 @@ EXPERIMENTS = {
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="output directory")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=_seed, default=1)
     parser.add_argument("--restarts", type=int, default=20)
     parser.add_argument(
         "--family", choices=sorted(EXPERIMENTS), action="append",

@@ -334,7 +334,7 @@ def build_parser():
 
     p = sub.add_parser("kkt", help="stationarity diagnostic of a spin field")
     p.add_argument("--graphon", required=True)
-    p.add_argument("--theta", required=True)
+    p.add_argument("--theta", required=True, help="JSON object with theta rows (solve-limit --out)")
     _common(p, "out", "format")
     p.set_defaults(func=_cmd_kkt)
 

@@ -16,6 +16,7 @@ from .graphons import (
     HalfGraphKernel,
     StepGraphon,
     StepKernel,
+    _rng,
 )
 
 _FLOOR_GUARD = 1e-9  # protects floor arithmetic against float cumsum noise
@@ -99,7 +100,7 @@ def w_random(w, n: int, seed: int) -> Graph:
         raise ParameterError(f"unsupported kernel object {type(w).__name__}")
     if isinstance(w, (StepGraphon, StepKernel)) and not w.is_w0():
         raise ParameterError("sampling requires a [0,1]-valued kernel")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _rng(seed)
     xs = rng.random(n)
     draws = rng.random(n * (n - 1) // 2)
     i, j = np.triu_indices(n, 1)  # row-major, the order of the draws

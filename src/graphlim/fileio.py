@@ -1,4 +1,4 @@
-"""File formats: graphs and graphons as JSON, theta fields as CSV.
+"""File formats: graphs, graphons and theta fields as JSON.
 
 All floats are serialized with 17 significant digits so every value
 round-trips through parsing without precision loss.
@@ -128,29 +128,18 @@ def read_graphon(path):
         return graphon_from_dict(json.load(fh))
 
 
-def theta_to_csv(field: ThetaField) -> str:
-    header = "cell," + ",".join(f"theta_{k + 1}" for k in range(field.n_labels))
-    lines = [header]
-    for i, row in enumerate(field.weights, start=1):
-        lines.append(f"{i}," + ",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_theta(path, field: ThetaField):
-    write_text(path, theta_to_csv(field))
-
-
 def read_theta(path) -> ThetaField:
+    """The `theta` rows of a JSON object, such as a solve-limit report."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",") if lines else []
-    n_labels = len(header) - 1
-    if n_labels < 1 or header != ["cell"] + [f"theta_{k + 1}" for k in range(n_labels)]:
-        raise ParameterError("theta file must start with a cell,theta_1,...,theta_N header")
-    rows = []
-    for i, ln in enumerate(lines[1:], start=1):
-        parts = ln.split(",")
-        if parts[0] != str(i) or len(parts) != n_labels + 1:
-            raise ParameterError(f"theta file row {i}: expected cell {i} and {n_labels} weights")
-        rows.append([float(v) for v in parts[1:]])
-    return ThetaField(np.asarray(rows))
+        data = json.load(fh)
+    if not isinstance(data, dict) or "theta" not in data:
+        raise ParameterError("malformed theta file: expected a JSON object with a theta key")
+    rows = data["theta"]
+    try:
+        if not _json_numbers(itertools.chain.from_iterable(rows)) or len(set(map(len, rows))) > 1:
+            raise TypeError("theta must be equal-length rows of finite JSON numbers")
+        weights = np.asarray(rows, dtype=float)
+    # a row that is not a list, an int too large for a float
+    except (OverflowError, TypeError) as exc:
+        raise ParameterError(f"malformed theta file: {exc}") from exc
+    return ThetaField(weights)

@@ -24,6 +24,13 @@ _WIDTH_TOL = 1e-12
 _GRID_TOL = 1e-9
 
 
+def _rng(seed, restart=0):
+    """The generator of a restart under the seed rule: Philox(seed + restart_index)."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.Generator(np.random.Philox(seed + restart))
+
+
 # ---------------------------------------------------------------------------
 # graphs and motifs
 
@@ -505,9 +512,7 @@ def cut_norm(w: StepGraphon, mode="exact", restarts=32, seed=0) -> CutNormResult
     contrib = w.values * w.widths[:, None] * w.widths[None, :]
     best = (-1.0, None, None)
     starts = [np.ones(m)]  # deterministic full-set start, then seeded random ones
-    for r in range(restarts):
-        rng = np.random.Generator(np.random.Philox(seed + r))
-        starts.append(rng.integers(0, 2, m).astype(float))
+    starts += [_rng(seed, r).integers(0, 2, m).astype(float) for r in range(restarts)]
     for t0 in starts:
         for sign in (1.0, -1.0):
             val, s, t = _alternating_climb(sign * contrib, t0.copy())

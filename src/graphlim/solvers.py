@@ -23,7 +23,7 @@ from .functionals import (
     limit_cut_energy,
     limit_energy_gradient,
 )
-from .graphons import Graph, _pattern_chunk
+from .graphons import Graph, _pattern_chunk, _rng
 
 BRUTE_BISECTION_MAX_NODES = 28
 METHODS = ("pgd", "frank_wolfe")  # continuum solver methods
@@ -219,15 +219,16 @@ def local_search_partition(g: Graph, sizes, model: LabelModel, seed=0, restarts=
     """Multi-restart swap descent for partitions with sizes[k] nodes on label k."""
     if restarts < 1:
         raise ParameterError("need at least one restart")
-    sizes = tuple(int(v) for v in sizes)
-    if len(sizes) != model.n_labels or min(sizes) < 0 or sum(sizes) != g.n:
+    # integral floats and numpy integers count as sizes; 2.5 nodes do not
+    sizes = tuple(int(v) if float(v).is_integer() else v for v in sizes)
+    counts = all(type(v) is int and v >= 0 for v in sizes)
+    if len(sizes) != model.n_labels or not counts or sum(sizes) != g.n:
         raise InfeasibleError(
             f"sizes {sizes} are not {model.n_labels} nonnegative counts summing to n={g.n}"
         )
     best = None
     for r in range(restarts):
-        rng = np.random.Generator(np.random.Philox(seed + r))
-        perm = rng.permutation(g.n)
+        perm = _rng(seed, r).permutation(g.n)
         start = np.empty(g.n)
         start[perm] = np.repeat(model.labels, sizes)
         labels, swaps = swap_descent(g, start, model)
@@ -743,12 +744,7 @@ def minimize_limit_energy(
     kernel_q = cell_averages(w, m)
     feasible = (_BoxMeanSet if model.n_labels == 2 else _TransportSet)(masses, m)
     solve = _pgd if method == "pgd" else _fw
-    starts = np.stack(
-        [
-            np.random.Generator(np.random.Philox(seed + r)).random(feasible.shape)
-            for r in range(restarts)
-        ]
-    )
+    starts = np.stack([_rng(seed, r).random(feasible.shape) for r in range(restarts)])
     xs, energies, iters = solve(
         kernel_q, model, feasible, feasible.project(starts), max_iters, _LIMIT_STOP_TOL
     )

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -16,6 +17,8 @@ from graphlim.experiments import CSV_HEADER, ExperimentConfig, run_converge
 from graphlim.functionals import cell_averages
 from graphlim.graphons import ConstantKernel, HalfGraphKernel, StepGraphon
 from graphlim.solvers import METHODS, minimize_limit_energy
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -103,7 +106,8 @@ def test_solve_limit_and_kkt_cli(tmp_path, capsys):
         "--limit-out",
         str(kpath),
     )
-    code, out, _ = run(
+    spath = tmp_path / "s.json"
+    code, _, _ = run(
         capsys,
         "solve-limit",
         "--graphon",
@@ -112,27 +116,25 @@ def test_solve_limit_and_kkt_cli(tmp_path, capsys):
         "12",
         "--restarts",
         "4",
+        "--out",
+        str(spath),
     )
     assert code == 0
-    report = json.loads(out)
+    report = json.loads(spath.read_text())
     assert report["value"] <= 0.5 + 1e-9
-    theta_path = tmp_path / "theta.csv"
-    from graphlim.fields import ThetaField
-
-    fileio.write_theta(theta_path, ThetaField(np.asarray(report["theta"])))
-    code, out, _ = run(capsys, "kkt", "--graphon", str(kpath), "--theta", str(theta_path))
+    # kkt reads the theta rows of the solve report itself
+    code, out, _ = run(capsys, "kkt", "--graphon", str(kpath), "--theta", str(spath))
     assert code == 0
     kkt = json.loads(out)
-    assert "residual" in kkt and "phi" in kkt
+    assert "phi" in kkt and kkt["residual"] == report["residual"]
 
 
 def test_kkt_rejects_three_label_theta(tmp_path, capsys):
-    from graphlim.fields import ThetaField
     from graphlim.graphons import HalfGraphKernel
 
-    kpath, tpath = tmp_path / "half.json", tmp_path / "theta.csv"
+    kpath, tpath = tmp_path / "half.json", tmp_path / "theta.json"
     fileio.write_graphon(kpath, HalfGraphKernel())
-    fileio.write_theta(tpath, ThetaField(np.tile([0.5, 0.25, 0.25], (4, 1))))
+    fileio.write_text(tpath, fileio.dumps({"theta": np.tile([0.5, 0.25, 0.25], (4, 1))}))
     code, _, err = run(capsys, "kkt", "--graphon", str(kpath), "--theta", str(tpath))
     assert code == 2 and "two-label" in err
 
@@ -140,11 +142,11 @@ def test_kkt_rejects_three_label_theta(tmp_path, capsys):
 def test_kkt_rejects_nan_theta(tmp_path, capsys):
     from graphlim.graphons import HalfGraphKernel
 
-    kpath, tpath = tmp_path / "half.json", tmp_path / "theta.csv"
+    kpath, tpath = tmp_path / "half.json", tmp_path / "theta.json"
     fileio.write_graphon(kpath, HalfGraphKernel())
-    tpath.write_text("cell,theta_1,theta_2\n1,nan,nan\n2,0.5,0.5\n")
+    tpath.write_text('{"theta": [[NaN, NaN], [0.5, 0.5]]}\n')
     code, out, err = run(capsys, "kkt", "--graphon", str(kpath), "--theta", str(tpath))
-    assert code == 2 and out == "" and "[0,1]" in err
+    assert code == 2 and out == "" and "finite JSON numbers" in err
 
 
 @pytest.mark.parametrize(
@@ -247,7 +249,7 @@ for method in ("pgd", "frank_wolfe"):
 
 
 def test_three_label_solve_limit_runs_without_scipy(tmp_path):
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    src = _ROOT / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_SMOKE, str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -379,11 +381,16 @@ def test_converge_json_rows_match_csv(capsys):
                 assert float(cell) == value
 
 
-def test_run_convergence_script_smoke(tmp_path):
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_convergence.py"
+def _run_convergence_script():
+    path = _ROOT / "scripts" / "run_convergence.py"
     spec = importlib.util.spec_from_file_location("run_convergence", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_run_convergence_script_smoke(tmp_path):
+    script = _run_convergence_script()
     argv = ["--family", "complete", "--restarts", "2", "--outdir", str(tmp_path)]
     assert script.main(argv) == 0
     lines = (tmp_path / "complete.csv").read_text().splitlines()
@@ -392,6 +399,28 @@ def test_run_convergence_script_smoke(tmp_path):
     # J* of the complete limit is exact, so every gap is 0
     for line in lines[1:]:
         assert float(line.split(",")[4]) == 0.0
+
+
+def test_run_convergence_script_negative_seed_exits_2(tmp_path, capsys):
+    argv = ["--family", "complete", "--seed", "-1", "--outdir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        _run_convergence_script().main(argv)
+    assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_command_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["echo"]:
+            assert argv[2] == ">" and len(argv) == 4, line
+            pathlib.Path(argv[3]).write_text(argv[1] + "\n")
+        elif argv:
+            assert argv[0] == "graphlim" and main(argv[1:]) == 0, line
+            capsys.readouterr()
 
 
 def test_converge_blocks_family_tracks_vertex_minimum(tmp_path):
@@ -589,12 +618,10 @@ def test_cutnorm_csv_format(tmp_path, capsys):
 def test_csv_renders_a_missing_value_empty(tmp_path, capsys):
     # JSON writes null for the discrete residual and for the multiplier of a
     # field with no interior cell; CSV leaves the value empty
-    from graphlim.fields import ThetaField
-
-    gpath, kpath, tpath = tmp_path / "g.json", tmp_path / "half.json", tmp_path / "theta.csv"
+    gpath, kpath, tpath = tmp_path / "g.json", tmp_path / "half.json", tmp_path / "theta.json"
     run(capsys, "gen", "--family", "halfgraph", "--n", "4", "--out", str(gpath))
     fileio.write_graphon(kpath, HalfGraphKernel())
-    fileio.write_theta(tpath, ThetaField(np.array([[1.0, 0.0], [0.0, 1.0]])))
+    tpath.write_text('{"theta": [[1.0, 0.0], [0.0, 1.0]]}\n')
     commands = {
         "residual": ["solve-discrete", "--graph", str(gpath), "--method", "brute"],
         "multiplier": ["kkt", "--graphon", str(kpath), "--theta", str(tpath)],
@@ -745,12 +772,10 @@ def test_solve_discrete_default_bisection_puts_the_larger_part_on_plus_one(tmp_p
 )
 def test_flags_and_config_keys_a_command_does_not_act_on_exit_2(tmp_path, capsys, argv, named):
     # every argv but its one rejected flag or key runs on these valid files
-    from graphlim.fields import ThetaField
-
     files = {k: str(tmp_path / k) for k in ("graph", "kernel", "theta", "cfg")}
     fileio.write_graph(files["graph"], fileio.graph_from_dict({"n": 4, "edges": [[1, 2], [3, 4]]}))
     fileio.write_graphon(files["kernel"], HalfGraphKernel())
-    fileio.write_theta(files["theta"], ThetaField(np.tile([0.5, 0.5], (4, 1))))
+    pathlib.Path(files["theta"]).write_text(json.dumps({"theta": [[0.5, 0.5]] * 4}))
     pathlib.Path(files["cfg"]).write_text(
         json.dumps({"family": "halfgraph", "n": [8], "restart": 50})
     )
@@ -1001,7 +1026,7 @@ assert built == once and once.count("graphlim") == 1, built
 
 
 def test_main_builds_one_parser_and_importing_builds_none(tmp_path):
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    src = _ROOT / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _PARSERS_BUILT, str(tmp_path / "missing.json")],
         env=dict(os.environ, PYTHONPATH=str(src)),

@@ -112,46 +112,33 @@ def test_theta_round_trip_exact(tmp_path):
     rng = philox(9)
     raw = rng.random((6, 3))
     field = ThetaField(raw / raw.sum(axis=1, keepdims=True))
-    path = tmp_path / "theta.csv"
-    fileio.write_theta(path, field)
+    path = tmp_path / "theta.json"
+    fileio.write_text(path, fileio.dumps({"theta": field.weights}))
     back = fileio.read_theta(path)
     assert np.array_equal(back.weights, field.weights)
-
-
-def test_theta_header_and_cell_order(tmp_path):
-    field = ThetaField(np.array([[1.0, 0.0], [0.25, 0.75]]))
-    path = tmp_path / "theta.csv"
-    fileio.write_theta(path, field)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "cell,theta_1,theta_2"
-    assert lines[1].startswith("1,") and lines[2].startswith("2,")
-
-
-def test_theta_rejects_missing_header(tmp_path):
-    path = tmp_path / "theta.csv"
-    path.write_text("1,0.5,0.5\n")
-    with pytest.raises(ParameterError):
-        fileio.read_theta(path)
 
 
 @pytest.mark.parametrize(
     "text",
     [
-        "cell,theta_1,theta_2\n2,0.5,0.5\n1,1.0,0.0\n",  # cells out of order
-        "cell,theta_1,theta_2\n1,0.5,0.5\n1,1.0,0.0\n",  # a repeated cell
-        "cell,theta_1,theta_2\n1,0.5,0.5\n3,1.0,0.0\n",  # a missing cell
-        "cell,theta_1\n1,0.5,0.5\n2,1.0,0.0\n",  # rows wider than the header
-        "cell,theta_1,theta_2\n1,0.5,0.5\n2,1.0\n",  # a short row
-        "cell,theta_2,theta_1\n1,0.5,0.5\n",  # labels out of order
-        "cell\n1\n",  # no label column
-        "cell,weight_1,weight_2\n1,0.5,0.5\n",
+        '[[0.5, 0.5], [1.0, 0.0]]',  # rows without the object around them
+        '{"weights": [[0.5, 0.5], [1.0, 0.0]]}',
+        '{"theta": [[0.5, 0.5], [1.0]]}',  # a short row
+        '{"theta": [[0.5, 0.5], [1.0, 0.0, 0.0]]}',  # a wide row
+        '{"theta": [[], []]}',  # no label column
+        '{"theta": [[true, false], [0.5, 0.5]]}',
+        '{"theta": [["0.5", 0.5], [0.5, 0.5]]}',
+        '{"theta": [[NaN, NaN], [0.5, 0.5]]}',
+        '{"theta": [[Infinity, 0.0], [0.5, 0.5]]}',
+        '{"theta": [0.5, 0.5]}',  # a row that is not a list
     ],
-    ids=["order", "repeat", "gap", "wide", "short", "labels", "empty", "names"],
+    ids=["not-object", "no-theta", "short", "wide", "empty", "true", "string", "nan",
+         "infinity", "flat"],
 )
-def test_theta_rejects_rows_off_the_header(tmp_path, text):
-    path = tmp_path / "theta.csv"
+def test_theta_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "theta.json"
     path.write_text(text)
-    with pytest.raises(ParameterError, match="theta file"):
+    with pytest.raises(ParameterError):
         fileio.read_theta(path)
 
 

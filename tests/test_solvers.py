@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -8,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from graphlim import functionals, solvers
+from graphlim import fileio, functionals, graphons, solvers
 from graphlim.errors import CapacityError, InfeasibleError, ParameterError
-from graphlim.families import bipartite, block_family, complete, halfgraph
+from graphlim.families import bipartite, block_family, complete, halfgraph, w_random
 from graphlim.fields import LabelModel
 from graphlim.functionals import (
     cell_averages,
@@ -26,6 +27,7 @@ from graphlim.graphons import (
     HalfGraphKernel,
     StepGraphon,
     StepKernel,
+    cut_norm,
 )
 from graphlim.solvers import (
     block_vertex_minimum,
@@ -357,6 +359,44 @@ def test_local_search_infeasible_spec():
     for sizes in [(3, 3), (5, -1), (4,), (2, 1, 1)]:
         with pytest.raises(InfeasibleError):
             local_search_partition(complete(4).graph, sizes, spin)
+
+
+def test_local_search_sizes_must_be_integral():
+    # 2.5 + 2.5 nodes is no partition of 4; integral floats and numpy
+    # integers count as the sizes they equal
+    g = complete(4).graph
+    for sizes in [(2.5, 2.5), (1.5, 2.5), (float("nan"), 2)]:
+        with pytest.raises(InfeasibleError, match="nonnegative counts"):
+            local_search_partition(g, sizes, spin)
+    want = local_search_partition(g, (2, 2), spin, seed=3)
+    assert local_search_partition(g, (2.0, 2.0), spin, seed=3) == want
+    assert local_search_partition(g, np.array([2, 2]), spin, seed=3) == want
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: minimize_limit_energy(HalfGraphKernel(), spin, (0.5, 0.5), 8, seed=s).to_dict(),
+        lambda s: local_search_partition(complete(4).graph, (2, 2), spin, seed=s).to_dict(),
+        lambda s: dataclasses.asdict(
+            cut_norm(StepGraphon(np.full(3, 1 / 3), np.eye(3)), mode="heuristic", seed=s)
+        ),
+        lambda s: fileio.graph_to_dict(w_random(ConstantKernel(0.5), 5, s)),
+    ],
+    ids=["minimize_limit_energy", "local_search_partition", "cut_norm", "w_random"],
+)
+def test_seed_must_be_a_non_negative_integer(call):
+    for seed in (-1, -3, 1.5, "2"):
+        with pytest.raises(ParameterError, match="seed"):
+            call(seed)
+    assert fileio.dumps(call(np.int64(2))) == fileio.dumps(call(2))
+
+
+def test_restart_generators_follow_the_seed_rule():
+    # restart r of seed s draws what Philox(s + r) draws
+    for seed, r in [(0, 0), (5, 2), (np.int64(7), 3)]:
+        want = np.random.Generator(np.random.Philox(int(seed) + r)).random(6)
+        assert np.array_equal(graphons._rng(seed, r).random(6), want)
 
 
 # ---------------------------------------------------------------------------
