@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 
 import numpy as np
@@ -228,11 +227,7 @@ def _config_from_args(args):
     keys = {("n" if f.name == "ns" else f.name): f.name for f in fields}
     merged = {}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                base = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParameterError(f"config file line {exc.lineno}: {exc.msg}") from exc
+        base = fileio.read_json(args.config, "config")
         if not isinstance(base, dict):
             raise ParameterError(f"config file {args.config}: expected a JSON object")
         for k in base:

@@ -17,6 +17,7 @@ from .errors import ParameterError
 from .families import bipartite, block_family, complete, halfgraph
 from .fields import LabelModel
 from .fileio import format_float, write_text
+from .functionals import cell_averages
 from .graphons import EXACT_CUT_NORM_MAX_BLOCKS, cut_norm, step_from_graph
 from .solvers import (
     BRUTE_BISECTION_MAX_NODES,
@@ -195,9 +196,14 @@ def rows_to_csv(rows) -> str:
 def run_converge(config: ExperimentConfig):
     """Run the convergence experiment; returns rows and writes the CSV."""
     limit = config.instance(config.ns[0]).limit
-    # J* is exact for a step kernel on the grid; the method solves the rest
-    if limit.is_step_on(config.grid) and limit.block_count <= STEP_MINIMUM_MAX_BLOCKS:
-        j_star = step_limit_minimum(limit, config.grid).value
+    # on the grid every kernel is its cell averages, a step kernel of m equal
+    # blocks: J* is exact for a step kernel on the grid within the block cap,
+    # and the method solves the rest
+    kernel = limit
+    if not limit.is_step_on(config.grid) and config.grid <= STEP_MINIMUM_MAX_BLOCKS:
+        kernel = cell_averages(limit, config.grid)
+    if kernel.is_step_on(config.grid) and kernel.block_count <= STEP_MINIMUM_MAX_BLOCKS:
+        j_star = step_limit_minimum(kernel, config.grid).value
     else:
         j_star = minimize_limit_energy(
             limit,

@@ -51,6 +51,15 @@ def write_text(path, text):
         fh.write(text)
 
 
+def read_json(path, kind):
+    """The JSON value of a file; text that is not JSON names the file and line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"{kind} file {path} line {exc.lineno}: {exc.msg}") from exc
+
+
 def graph_to_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": g.edges}
 
@@ -72,8 +81,7 @@ def write_graph(path, g: Graph):
 
 
 def read_graph(path) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))
+    return graph_from_dict(read_json(path, "graph"))
 
 
 def graphon_to_dict(w) -> dict:
@@ -124,14 +132,12 @@ def write_graphon(path, w):
 
 
 def read_graphon(path):
-    with open(path, encoding="utf-8") as fh:
-        return graphon_from_dict(json.load(fh))
+    return graphon_from_dict(read_json(path, "graphon"))
 
 
 def read_theta(path) -> ThetaField:
     """The `theta` rows of a JSON object, such as a solve-limit report."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path, "theta")
     if not isinstance(data, dict) or "theta" not in data:
         raise ParameterError("malformed theta file: expected a JSON object with a theta key")
     rows = data["theta"]

@@ -840,54 +840,62 @@ class StepMinimum:
 
 
 def _face_points(widths, values, mass):
-    """The stationary points of q(s) = s'V w - s'V s on the faces of
-    {0 <= s <= w, sum s = mass}.
+    """Candidates for the minimum of q(s) = s'V w - s'V s over
+    {0 <= s <= w, sum s = mass}: the stationary points of the faces that can
+    hold it.
 
     Yields, face group by face group, (points, q) with points a (b, m) stack
     of block measures s and q their values.  On a face each coordinate sits
     at 0, at w_k, or is free; one vectorised lstsq per free set solves the
     stationarity system in the free coordinates and the mass multiplier for
-    every placement of the others.  The extrema of q over the set are among
-    these values: a minimal face holding an extremum has it as its unique
-    stationary point.
+    every placement of the others.  The minimum of q over the set is among
+    these values: some minimizer is the unique stationary point of the
+    least face holding it, and lies inside that face, so q curves upward
+    along the face there: d'V_FF d <= 0 for every zero-sum d on the free set
+    F.  A free set of two or more blocks on which V_FF is positive along a
+    zero-sum direction is skipped without a solve.
     """
     m = widths.size
     cvec = values @ widths
-    for free_bits in range(1 << m):
-        free = [i for i in range(m) if (free_bits >> i) & 1]
-        rest = [i for i in range(m) if not (free_bits >> i) & 1]
-        # every placement of the other blocks at 0 or w, least significant first
-        digits = (np.arange(1 << len(rest))[:, None] >> np.arange(len(rest))) & 1
-        s_all = np.zeros((digits.shape[0], m))
-        s_all[:, rest] = widths[rest] * digits
-        if not free:
+    # row c holds the bits of free set c; its first 2^r rows, cut to r
+    # columns, place r pinned blocks at 0 or w, least significant first
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    keep = np.ones(1 << m, dtype=bool)
+    tol = 1e-9 * (1.0 + np.max(np.abs(values)))
+    sizes = bits.sum(axis=1)
+    for k in range(2, m + 1):
+        codes = np.flatnonzero(sizes == k)
+        free = np.nonzero(bits[codes])[1].reshape(-1, k)
+        # V_FF on the zero-sum directions: centre its rows and its columns
+        sub = values[free[:, :, None], free[:, None, :]]
+        sub = sub - sub.mean(axis=1, keepdims=True)
+        sub = sub - sub.mean(axis=2, keepdims=True)
+        keep[codes] = np.linalg.eigvalsh(sub)[:, -1] <= tol
+    cols = np.arange(m)
+    for free_bits in np.flatnonzero(keep):
+        in_free = bits[free_bits] == 1
+        free, rest = cols[in_free], cols[~in_free]
+        s_all = np.zeros((1 << rest.size, m))
+        s_all[:, rest] = widths[rest] * bits[: 1 << rest.size, : rest.size]
+        if not free.size:
             s_all = s_all[np.abs(s_all.sum(axis=1) - mass) <= _TIE_TOL]
         else:
             # 2 V_ff s_f + mu 1 = c_f - 2 V_fr s_r and sum s_f = mass - sum s_r
-            k = len(free)
-            a_mat = np.block(
-                [
-                    [2.0 * values[np.ix_(free, free)], np.ones((k, 1))],
-                    [np.ones((1, k)), np.zeros((1, 1))],
-                ]
-            )
-            rhs = np.vstack(
-                (
-                    cvec[free][:, None] - 2.0 * (values[free, :] @ s_all.T),
-                    mass - s_all.sum(axis=1)[None, :],
-                )
-            )
+            k = free.size
+            a_mat = np.zeros((k + 1, k + 1))
+            a_mat[:k, :k] = 2.0 * values[free[:, None], free]
+            a_mat[:k, k] = a_mat[k, :k] = 1.0
+            rhs = np.empty((k + 1, s_all.shape[0]))
+            rhs[:k] = cvec[free][:, None] - 2.0 * (values[free, :] @ s_all.T)
+            rhs[k] = mass - s_all.sum(axis=1)
             sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-            ok = np.max(np.abs(a_mat @ sol - rhs), axis=0) <= 1e-8 * (
-                1.0 + np.max(np.abs(rhs), axis=0)
-            )
-            sol = sol[:k]
-            ok &= np.all(sol >= -1e-12, axis=0)
-            ok &= np.all(sol <= widths[free][:, None] + 1e-12, axis=0)
-            if not np.any(ok):
+            ok = np.abs(a_mat @ sol - rhs).max(axis=0) <= 1e-8 * (1.0 + np.abs(rhs).max(axis=0))
+            sol, upper = sol[:k], widths[free]
+            ok &= (sol >= -1e-12).all(axis=0) & (sol <= upper[:, None] + 1e-12).all(axis=0)
+            if not ok.any():
                 continue
             s_all = s_all[ok]
-            s_all[:, free] = np.clip(sol[:, ok].T, 0.0, widths[free])
+            s_all[:, free] = np.clip(sol[:, ok].T, 0.0, upper)
         if s_all.shape[0]:
             yield s_all, s_all @ cvec - np.einsum("bi,ij,bj->b", s_all, values, s_all)
 
@@ -900,7 +908,8 @@ def step_limit_minimum(w, m: int) -> StepMinimum:
     being the block's share of the cells: 8 sum_kl w_kl A_k (lambda_l - A_l)
     over 0 <= A_k <= lambda_k, sum A_k = 1/2.  Its minimum is the least value
     at the stationary points of the 3^k faces of that set, which
-    `_face_points` enumerates.  The field puts every cell of block k at plus
+    `_face_points` enumerates, skipping the faces that cannot hold a
+    minimizer.  The field puts every cell of block k at plus
     weight A_k / lambda_k for the first best A, and the value is the
     `limit_cut_energy` of that field.  Blocks are capped at
     STEP_MINIMUM_MAX_BLOCKS.

@@ -177,6 +177,21 @@ def test_malformed_graphon_file_exits_2(tmp_path, capsys, text):
     assert code == 2 and "malformed graphon file" in err
 
 
+@pytest.mark.parametrize("flag", ["--graph", "--graphon", "--theta"])
+def test_a_file_that_is_not_json_exits_2_naming_it(tmp_path, capsys, flag):
+    kernel, notes = tmp_path / "k.json", tmp_path / "notes.txt"
+    fileio.write_graphon(kernel, ConstantKernel(1.0))
+    notes.write_text("{\n  kernel: constant\n}\n")
+    argv = {
+        "--graph": ["graphon", "--graph", str(notes)],
+        "--graphon": ["solve-limit", "--graphon", str(notes), "--grid", "4"],
+        "--theta": ["kkt", "--graphon", str(kernel), "--theta", str(notes)],
+    }[flag]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert f"file {notes} line 2: Expecting property name" in err
+
+
 @pytest.mark.parametrize(
     "config, named",
     [
@@ -452,25 +467,49 @@ def test_converge_blocks_family_tracks_vertex_minimum(tmp_path):
     assert gaps[1] <= gaps[0] + 1e-9
 
 
-def test_converge_takes_j_star_of_an_on_grid_step_limit_without_the_method(
-    capsys, monkeypatch
-):
+def _j_stars_without_the_method(capsys, monkeypatch, argv):
+    # the J_star column under each method, with minimize_limit_energy refused;
+    # both methods must print the same table
     import graphlim.experiments as exp
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an on-grid step limit needs no minimize_limit_energy")
+        raise AssertionError("this J* needs no minimize_limit_energy")
 
     monkeypatch.setattr(exp, "minimize_limit_energy", refuse)
-    argv = ["converge", "--family", "blocks", "--lambdas", "0.3,0.3,0.4", "--n", "10,20"]
-    argv += ["--grid", "20", "--restarts", "3", "--seed", "2"]
     tables = []
     for method in METHODS:
         code, out, _ = run(capsys, *argv, "--method", method)
         assert code == 0
         tables.append([line.rsplit(",", 1)[0] for line in out.splitlines()])
     assert tables[0] == tables[1]
-    for line in tables[0][1:]:
-        assert abs(float(line.split(",")[3]) - 0.16) <= 1e-12  # 8 * 0.2 * 0.1
+    return [float(line.split(",")[3]) for line in tables[0][1:]]
+
+
+def test_converge_takes_j_star_of_an_on_grid_step_limit_without_the_method(
+    capsys, monkeypatch
+):
+    argv = ["converge", "--family", "blocks", "--lambdas", "0.3,0.3,0.4", "--n", "10,20"]
+    argv += ["--grid", "20", "--restarts", "3", "--seed", "2"]
+    for j_star in _j_stars_without_the_method(capsys, monkeypatch, argv):
+        assert abs(j_star - 0.16) <= 1e-12  # 8 * 0.2 * 0.1
+
+
+@pytest.mark.parametrize("grid, j_star", [(2, 1 / 2), (4, 7 / 16), (6, 1 / 3), (8, 23 / 64)])
+def test_converge_takes_the_half_graph_j_star_on_a_small_grid_without_the_method(
+    capsys, monkeypatch, grid, j_star
+):
+    argv = ["converge", "--family", "halfgraph", "--n", "8,12", "--grid", str(grid)]
+    argv += ["--restarts", "1", "--seed", "0"]
+    for value in _j_stars_without_the_method(capsys, monkeypatch, argv):
+        assert abs(value - j_star) <= 1e-12
+
+
+def test_converge_half_graph_at_grid_6_reads_the_grid_minimum_with_one_restart(capsys):
+    # one PGD restart from seed 0 ends at the local minimum 4/9
+    argv = ["converge", "--family", "halfgraph", "--n", "8,12", "--grid", "6"]
+    code, out, _ = run(capsys, *argv, "--restarts", "1", "--seed", "0")
+    assert code == 0
+    assert [line.split(",")[3] for line in out.splitlines()[1:]] == ["0.33333333333333337"] * 2
 
 
 def test_converge_solves_an_off_grid_limit_with_its_method(capsys, monkeypatch):
@@ -483,11 +522,12 @@ def test_converge_solves_an_off_grid_limit_with_its_method(capsys, monkeypatch):
         return minimize_limit_energy(*args, **kwargs)
 
     monkeypatch.setattr(exp, "minimize_limit_energy", recording)
-    argv = ["converge", "--family", "bipartite", "--gamma", "0.3", "--n", "8"]
-    argv += ["--grid", "16", "--restarts", "2"]
-    for method in METHODS:
-        assert run(capsys, *argv, "--method", method)[0] == 0
-    assert methods == list(METHODS)
+    # a split off the grid, and the half graph above the 10-cell cap
+    for family in (["bipartite", "--gamma", "0.3", "--grid", "16"], ["halfgraph", "--grid", "12"]):
+        argv = ["converge", "--family", *family, "--n", "8", "--restarts", "2"]
+        for method in METHODS:
+            assert run(capsys, *argv, "--method", method)[0] == 0
+    assert methods == list(METHODS) * 2
 
 
 def test_converge_config_file_with_flag_override(tmp_path, capsys):
