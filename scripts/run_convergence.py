@@ -10,6 +10,7 @@ import pathlib
 import sys
 
 from graphlim.cli import _seed
+from graphlim.errors import ParameterError
 from graphlim.experiments import ExperimentConfig, run_converge
 
 EXPERIMENTS = {
@@ -31,15 +32,20 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    names = args.family or sorted(EXPERIMENTS)
-    for name in names:
+    configs = []
+    for name in args.family or sorted(EXPERIMENTS):
         spec = dict(EXPERIMENTS[name])
         spec.update(seed=args.seed, restarts=args.restarts, out=str(outdir / f"{name}.csv"))
-        config = ExperimentConfig(**spec)
+        try:
+            configs.append((name, ExperimentConfig(**spec)))
+        except ParameterError as exc:
+            parser.error(str(exc))
+    # every config is valid before the output directory is made
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, config in configs:
         rows = run_converge(config)
         worst = max(r.gap for r in rows)
-        print(f"{name}: {len(rows)} rows -> {spec['out']} (largest gap {worst:.6f})")
+        print(f"{name}: {len(rows)} rows -> {config.out} (largest gap {worst:.6f})")
     return 0
 
 

@@ -344,6 +344,54 @@ def test_converge_heuristic_blocks_row(tmp_path):
     assert abs(float(row[1]) - (0.06 + 8 / 60**2)) <= 1e-12
 
 
+# converge tables (every column but seconds) as brute bisection gave them
+_EXACT_ROW_TABLES = {
+    ("halfgraph", "--n", "16,18,20,22,24,26,28", "--grid", "6", "--restarts", "4"): [
+        "16,0.375,true,0.33333333333333337,0.04166666666666663,0.03125,false",
+        "18,0.37037037037037035,true,0.33333333333333337,"
+        "0.037037037037036979,0.027777777777777783,false",
+        "20,0.38,true,0.33333333333333337,0.046666666666666634,0.025000000000000005,false",
+        "22,0.36363636363636365,true,0.33333333333333337,"
+        "0.030303030303030276,0.022727272727272742,false",
+        "24,0.3611111111111111,true,0.33333333333333337,"
+        "0.027777777777777735,0.020833333333333329,false",
+        "26,0.36686390532544377,true,0.33333333333333337,"
+        "0.033530571992110403,0.019230769230769232,false",
+        "28,0.35714285714285715,true,0.33333333333333337,"
+        "0.02380952380952378,0.017857142857142846,false",
+    ],
+    ("blocks", "--lambdas", "0.3,0.3,0.4", "--n", "10,20,28", "--grid", "20"): [
+        "10,0.16,true,0.16,0,0.080000000000000043,true",
+        "20,0.16,true,0.16,0,0.045000000000000054,true",
+        "28,0.12244897959183673,true,0.16,0.037551020408163271,0.033163265306122444,false",
+    ],
+    ("bipartite", "--gamma", "0.3", "--n", "10,20,28", "--grid", "20"): [
+        "10,0.88,true,0.83999999999999997,0.040000000000000036,8.8817841970012528e-17,true",
+        "20,0.83999999999999997,true,0.83999999999999997,0,1.876276911616515e-16,true",
+        "28,0.81632653061224492,true,0.83999999999999997,0.023673469387755053,0.02,false",
+    ],
+    ("complete", "--n", "8,16,28", "--grid", "16"): [
+        "8,2,true,2,0,0.125,true",
+        "16,2,true,2,0,0.0625,true",
+        "28,2,true,2,0,0.035714285714285712,false",
+    ],
+}
+
+
+@pytest.mark.parametrize("family", list(_EXACT_ROW_TABLES), ids=lambda f: f[0])
+def test_converge_takes_exact_rows_from_the_family_routines(capsys, monkeypatch, family):
+    import graphlim.experiments as exp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the family routines give F_n up to 28 nodes")
+
+    monkeypatch.setattr(exp, "brute_bisection", refuse)
+    code, out, _ = run(capsys, "converge", "--family", *family, "--seed", "0")
+    assert code == 0
+    lines = [line.rsplit(",", 1)[0] for line in out.splitlines()]
+    assert lines == [CSV_HEADER.rsplit(",", 1)[0], *_EXACT_ROW_TABLES[family]]
+
+
 def test_converge_complete_gap_zero(tmp_path):
     out = tmp_path / "c.csv"
     assert (
@@ -421,6 +469,16 @@ def test_run_convergence_script_negative_seed_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         _run_convergence_script().main(argv)
     assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_convergence_script_invalid_config_exits_2_before_making_the_outdir(
+    tmp_path, capsys
+):
+    argv = ["--family", "complete", "--restarts", "0", "--outdir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        _run_convergence_script().main(argv)
+    assert exc.value.code == 2 and "'restarts'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphlim.errors import ParameterError
-from graphlim.experiments import labeled_gap
+from graphlim.experiments import family_bisection, family_instance, labeled_gap
 from graphlim.families import (
+    _FLOOR_GUARD,
     _block_bounds,
     bipartite,
+    block_bisection,
     block_family,
     checkerboard,
     complete,
     halfgraph,
+    halfgraph_bisection,
     w_random,
 )
+from graphlim.fields import LabelModel
+from graphlim.functionals import discrete_cut_energy
+from graphlim.solvers import brute_bisection
 from graphlim.graphons import (
     BipartiteSplitKernel,
     BlockDiagonalKernel,
@@ -104,6 +110,80 @@ def test_generated_graphs_are_simple():
         g = inst.graph
         for i, j in g.edges:
             assert 1 <= i < j <= g.n
+
+
+# ---------------------------------------------------------------------------
+# exact balanced bisections
+
+
+def _routine_value(family, n, gamma=0.5, lambdas=()):
+    """The routine's labeling, checked balanced, and brute force's value."""
+    graph = family_instance(family, n, gamma, lambdas).graph
+    labels = family_bisection(family, n, gamma, lambdas)
+    assert labels.shape == (n,) and set(labels) <= {-1.0, 1.0} and labels.sum() == 0
+    return discrete_cut_energy(graph, labels, LabelModel.spin()), brute_bisection(graph).value
+
+
+@given(
+    st.integers(1, 10).map(lambda k: 2 * k),
+    st.floats(0.01, 0.99),
+    st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_family_bisections_equal_brute_force(n, gamma, uniforms):
+    # Dirichlet(1, ..., 1) fractions from uniforms, every block nonempty at n
+    weights = -np.log(uniforms)
+    lambdas = tuple(weights / weights.sum())
+    bounds = _block_bounds(lambdas, n)
+    assume(all(hi > lo for lo, hi in zip(bounds, bounds[1:])))
+    assume(1 <= np.floor(n * gamma + _FLOOR_GUARD) <= n - 1)
+    for family in ("complete", "blocks", "bipartite", "halfgraph"):
+        value, brute = _routine_value(family, n, gamma, lambdas)
+        assert value == brute, family
+
+
+@pytest.mark.parametrize(
+    "family, gamma, lambdas, expected",
+    [
+        ("complete", 0.5, (), 2.0),
+        ("blocks", 0.5, (0.3, 0.3, 0.4), 0.12244897959183673),
+        ("bipartite", 0.3, (), 0.81632653061224492),
+        ("halfgraph", 0.5, (), 5 / 14),
+    ],
+)
+def test_family_bisections_at_the_brute_force_cap(family, gamma, lambdas, expected):
+    value, brute = _routine_value(family, 28, gamma, lambdas)
+    assert value == brute == expected
+
+
+def _cut_edges(graph, labels):
+    i, j = graph.edges.T - 1
+    return int(np.count_nonzero(labels[i] != labels[j]))
+
+
+def test_halfgraph_bisection_matches_the_checked_pattern():
+    # ceil(n(n+2)/24) is a pattern checked over this range, not a proven formula
+    for n in range(2, 301, 2):
+        labels = halfgraph_bisection(n)
+        assert labels.sum() == 0
+        assert _cut_edges(halfgraph(n).graph, labels) == -(-n * (n + 2) // 24), n
+
+
+@pytest.mark.parametrize(
+    "lambdas, n, expected",
+    [((0.3, 0.3, 0.4), 48, 0.1388888888888889), ((0.45, 0.35, 0.2), 140, 0.060408163265306125)],
+)
+def test_block_bisection_above_the_brute_force_cap(lambdas, n, expected):
+    labels = block_bisection(lambdas, n)
+    graph = block_family(lambdas, n).graph
+    assert labels.sum() == 0
+    assert discrete_cut_energy(graph, labels, LabelModel.spin()) == expected
+
+
+def test_bisections_reject_an_odd_n():
+    for family in ("complete", "blocks", "bipartite", "halfgraph"):
+        with pytest.raises(ParameterError):
+            family_bisection(family, 9, 0.5, (0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
